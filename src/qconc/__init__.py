@@ -21,6 +21,7 @@ from .errors import (
     CertificateError,
     DegenerateStateError,
     InternalConsistencyError,
+    NonFiniteError,
     QconcError,
     ShapeError,
     StateFormatError,
@@ -55,6 +56,7 @@ __all__ = [
     "InternalConsistencyError",
     "Matricization",
     "MinorTerm",
+    "NonFiniteError",
     "PureState",
     "QconcError",
     "SAMPLER_KINDS",

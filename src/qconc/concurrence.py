@@ -17,7 +17,6 @@ and for separable cuts carries the explicit rank-1 factors.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,17 +110,12 @@ def bipartite_concurrence(
 
 
 def tripartite_concurrence(
-    state: PureState,
-    normalization: float = DEFAULT_NORMALIZATION,
-    parallel: bool = False,
+    state: PureState, normalization: float = DEFAULT_NORMALIZATION
 ) -> ConcurrenceReport:
     """Concurrence of a pure three-part state.
 
     Sums the squared-minor totals of all three one-vs-rest matricizations;
-    value = sqrt(normalization * (S_1 + S_2 + S_3)).  With parallel=True the
-    three per-cut sums are evaluated concurrently; each per-cut sum is
-    internally fixed-order and the three results are combined in cut order,
-    so the result is bit-identical to the serial evaluation.
+    value = sqrt(normalization * (S_1 + S_2 + S_3)).
     """
     normalization = _check_normalization(normalization)
     if state.subsystem_count != 3:
@@ -130,11 +124,7 @@ def tripartite_concurrence(
         )
     s = normalize(state)
     cuts = (1, 2, 3)
-    if parallel:
-        with ThreadPoolExecutor(max_workers=3) as pool:
-            sums = list(pool.map(lambda j: minor_sum_sq(matricize(s, j)), cuts))
-    else:
-        sums = [minor_sum_sq(matricize(s, j)) for j in cuts]
+    sums = [minor_sum_sq(matricize(s, j)) for j in cuts]
     total = math.fsum(sums)
     return ConcurrenceReport(
         value=math.sqrt(normalization * total),
@@ -144,16 +134,14 @@ def tripartite_concurrence(
 
 
 def concurrence(
-    state: PureState,
-    normalization: float = DEFAULT_NORMALIZATION,
-    parallel: bool = False,
+    state: PureState, normalization: float = DEFAULT_NORMALIZATION
 ) -> ConcurrenceReport:
     """Dispatch to the bipartite or tripartite formula by subsystem count."""
     m = state.subsystem_count
     if m == 2:
         return bipartite_concurrence(state, normalization)
     if m == 3:
-        return tripartite_concurrence(state, normalization, parallel=parallel)
+        return tripartite_concurrence(state, normalization)
     raise ArityError(f"concurrence is defined for 2 or 3 subsystems, got {m}")
 
 

@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: domain verdict errors (ArityError,
-CertificateError) exit with 1, malformed input (ShapeError,
+CertificateError) exit with 1, malformed input (ShapeError, NonFiniteError,
 StateFormatError, ValueError, IndexError) with 2.
 """
 
@@ -16,6 +16,10 @@ class ShapeError(QconcError, ValueError):
 
 class DegenerateStateError(QconcError, ValueError):
     """All amplitudes are zero; the vector does not describe a state."""
+
+
+class NonFiniteError(QconcError, ValueError):
+    """An amplitude or matrix entry is NaN or infinite."""
 
 
 class ArityError(QconcError, ValueError):

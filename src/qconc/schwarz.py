@@ -11,26 +11,34 @@ into a rows-by-rest coefficient matrix, and the squared moduli of all its 2x2
 minors measure how far the rows are from mutual parallelism, i.e. how far the
 cut is from being separable.
 
-Determinism contract: minors are always enumerated in lexicographic
-(row_pair, col_pair) order and accumulated with exactly rounded compensated
-summation (math.fsum), so sums are bit-reproducible across runs and are
-independent of any parallel scheduling of whole-matrix subtotals.
+Determinism contract: minors are evaluated in bounded chunks, in
+lexicographic (row_pair, col_pair) order, with elementwise real float64
+arithmetic in the order of a scalar complex product, so for finite input
+every minor equals the scalar ``M[a,c] * M[b,d] - M[a,d] * M[b,c]`` bit for
+bit.  Sums are accumulated with exactly rounded summation (math.fsum), so
+neither the chunking nor the order changes a single bit of the result.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import InternalConsistencyError, ShapeError
+from .errors import InternalConsistencyError, NonFiniteError, ShapeError
 from .states import Cut, PureState
 
 # Relative slack allowed before a negative floating-point Schwarz gap is
 # treated as a bug rather than rounding.
 _GAP_CLAMP_REL = 1e-12
+
+# Minors evaluated per kernel step.  A step holds about fourteen float64
+# arrays of this length (about 1 MiB) whatever the matrix shape; smaller
+# steps pay more per-call numpy overhead, larger ones barely run faster.
+_CHUNK = 1 << 13
 
 
 class MinorTerm(NamedTuple):
@@ -130,11 +138,7 @@ def gap_equals_minor_sum(x1, x2) -> tuple[float, float]:
     v1 = np.asarray(x1, dtype=np.complex128).reshape(-1)
     v2 = np.asarray(x2, dtype=np.complex128).reshape(-1)
     gap = schwarz_gap(v1, v2)
-    pair = np.vstack([v1, v2])
-    minor_sum = math.fsum(
-        v.real * v.real + v.imag * v.imag for _, _, _, _, v in _minor_values(pair)
-    )
-    return gap, minor_sum
+    return gap, minor_sum_sq(np.vstack([v1, v2]))
 
 
 def matricize(state: PureState, cut: Cut) -> Matricization:
@@ -158,27 +162,67 @@ def matricize(state: PureState, cut: Cut) -> Matricization:
     return Matricization(cut=cut, row_dim=state.dims[j], remainder_dims=rest, entries=entries)
 
 
-def _minor_values(entries: np.ndarray) -> Iterator[tuple[int, int, int, int, complex]]:
-    """Yield (a, b, c, d, value) for all row pairs a<b and column pairs c<d.
+def _pair_blocks(n: int, size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Index arrays (i, j) of the pairs i < j < n in lexicographic order.
 
-    Indices are 0-based here; order is lexicographic in (a, b, c, d).  Rows
-    are converted to tuples of Python complex up front: scalar complex
-    arithmetic in the inner loop is both faster than numpy item access and
-    bit-deterministic.
+    The pairs come in blocks of ``size`` (the last block may be shorter),
+    so no more than ``size`` of the C(n, 2) pairs are held at once.
+    """
+    counts = np.arange(n - 1, 0, -1)
+    first = np.cumsum(counts) - counts  # flat position of the pair (i, i+1)
+    total = n * (n - 1) // 2
+    for start in range(0, total, size):
+        flat = np.arange(start, min(start + size, total))
+        i = np.searchsorted(first, flat, side="right") - 1
+        yield i, flat - first[i] + i + 1
+
+
+def _minor_parts(ra_re, ra_im, rb_re, rb_im, c, d) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of  ra[:, c] rb[:, d] - ra[:, d] rb[:, c].
+
+    ra and rb are (k, cols) row blocks; the result is (k, len(c)).  Each
+    product is formed as  re = xr*yr - xi*yi,  im = xr*yi + xi*yr  and the
+    two products are then subtracted: CPython's complex arithmetic step for
+    step.  numpy applies each elementwise operation with one IEEE rounding
+    (einsum/dot/matmul may fuse or reorder, so they are not used), and every
+    value equals the scalar complex expression bit for bit.
+    """
+    ac_re, ac_im = ra_re.take(c, axis=1), ra_im.take(c, axis=1)
+    ad_re, ad_im = ra_re.take(d, axis=1), ra_im.take(d, axis=1)
+    bc_re, bc_im = rb_re.take(c, axis=1), rb_im.take(c, axis=1)
+    bd_re, bd_im = rb_re.take(d, axis=1), rb_im.take(d, axis=1)
+    p_re = ac_re * bd_re - ac_im * bd_im
+    p_im = ac_re * bd_im + ac_im * bd_re
+    q_re = ad_re * bc_re - ad_im * bc_im
+    q_im = ad_re * bc_im + ad_im * bc_re
+    return p_re - q_re, p_im - q_im
+
+
+def _minor_chunks(
+    entries: np.ndarray,
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Yield (a, b, c, d, re, im) chunks covering every minor once, in order.
+
+    Row k of a chunk is the row pair (a[k], b[k]) (0-based) against the
+    column pairs (c[p], d[p]); re[k, p] and im[k, p] are the parts of
+    M[a,c] M[b,d] - M[a,d] M[b,c].  Reading the chunks row by row gives
+    lexicographic (a, b, c, d) order.  A chunk holds about _CHUNK minors:
+    several row pairs when all column pairs fit, else one row pair against
+    one block of column pairs.
     """
     nr, nc = entries.shape
     if nr < 2 or nc < 2:
         return
-    rows = [tuple(complex(z) for z in row) for row in entries]
-    for a in range(nr - 1):
-        ra = rows[a]
-        for b in range(a + 1, nr):
-            rb = rows[b]
-            for c in range(nc - 1):
-                rac = ra[c]
-                rbc = rb[c]
-                for d in range(c + 1, nc):
-                    yield a, b, c, d, rac * rb[d] - ra[d] * rbc
+    re = np.ascontiguousarray(entries.real)
+    im = np.ascontiguousarray(entries.imag)
+    pairs = math.comb(nc, 2)
+    # Column pairs that fit one block are indexed once; wider matrices
+    # rebuild their blocks per row pair instead of holding all of them.
+    blocks = list(_pair_blocks(nc, pairs)) if pairs <= _CHUNK else None
+    for a, b in _pair_blocks(nr, max(1, _CHUNK // pairs)):
+        ra_re, ra_im, rb_re, rb_im = re[a], im[a], re[b], im[b]
+        for c, d in blocks or _pair_blocks(nc, _CHUNK):
+            yield (a, b, c, d, *_minor_parts(ra_re, ra_im, rb_re, rb_im, c, d))
 
 
 def _as_entries(mat) -> np.ndarray:
@@ -186,18 +230,24 @@ def _as_entries(mat) -> np.ndarray:
     entries = np.asarray(entries, dtype=np.complex128)
     if entries.ndim != 2:
         raise ShapeError(f"expected a 2-D matrix, got shape {entries.shape}")
+    if not np.isfinite(entries).all():
+        raise NonFiniteError("matrix entries must be finite")
     return entries
 
 
 def enumerate_minors(mat) -> Iterator[MinorTerm]:
     """Stream all C(rows,2) * C(cols,2) second-order minors.
 
-    Accepts a Matricization or any 2-D complex array.  Terms come in
-    deterministic lexicographic (row_pair, col_pair) order; the stream is
-    empty when rows < 2 or cols < 2.
+    Accepts a Matricization or any 2-D complex array of finite entries.
+    Terms come in deterministic lexicographic (row_pair, col_pair) order;
+    the stream is empty when rows < 2 or cols < 2.
     """
-    for a, b, c, d, value in _minor_values(_as_entries(mat)):
-        yield MinorTerm(row_pair=(a + 1, b + 1), col_pair=(c + 1, d + 1), value=value)
+    for a, b, c, d, re, im in _minor_chunks(_as_entries(mat)):
+        col_pairs = list(zip((c + 1).tolist(), (d + 1).tolist()))
+        for ra, rb, re_row, im_row in zip(a.tolist(), b.tolist(), re.tolist(), im.tolist()):
+            row_pair = (ra + 1, rb + 1)
+            for col_pair, x, y in zip(col_pairs, re_row, im_row):
+                yield MinorTerm(row_pair, col_pair, complex(x, y))
 
 
 def minor_count(mat) -> int:
@@ -209,20 +259,23 @@ def minor_count(mat) -> int:
 def minor_sum_sq(mat) -> float:
     """Sum of squared moduli of all second-order minors.
 
-    Accumulated with exactly rounded compensated summation in enumeration
-    order, so the result is bit-reproducible.
+    Each term is re*re + im*im of one minor; the terms of every chunk are
+    streamed into one exactly rounded math.fsum, so the result is
+    bit-reproducible and independent of the chunking.  A memoryview hands
+    fsum one Python float at a time, with no list of a chunk's terms.
     """
     return math.fsum(
-        v.real * v.real + v.imag * v.imag
-        for _, _, _, _, v in _minor_values(_as_entries(mat))
+        chain.from_iterable(
+            memoryview((re * re + im * im).ravel())
+            for _, _, _, _, re, im in _minor_chunks(_as_entries(mat))
+        )
     )
 
 
 def max_abs_minor(mat) -> float:
-    """Largest |minor| over the stream; 0.0 for degenerate shapes."""
-    best = 0.0
-    for _, _, _, _, v in _minor_values(_as_entries(mat)):
-        mag = abs(v)
-        if mag > best:
-            best = mag
-    return best
+    """Largest |minor|; 0.0 for degenerate shapes, NaN if any minor is NaN.
+
+    |minor| is libm hypot(re, im), the function behind abs(complex).
+    """
+    peaks = [np.hypot(re, im).max() for _, _, _, _, re, im in _minor_chunks(_as_entries(mat))]
+    return float(np.max(peaks, initial=0.0))

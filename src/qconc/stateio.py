@@ -94,7 +94,13 @@ class StateFile:
                 and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
             ):
                 raise StateFormatError(f"amps[{i}] must be a [re, im] pair of numbers")
-            if not (math.isfinite(pair[0]) and math.isfinite(pair[1])):
+            try:
+                finite = math.isfinite(pair[0]) and math.isfinite(pair[1])
+            except OverflowError:
+                raise StateFormatError(
+                    f"amps[{i}] contains an integer too large for a double"
+                ) from None
+            if not finite:
                 raise ValueError(f"amps[{i}] contains a non-finite number")
             amps[i] = complex(pair[0], pair[1])
         label = doc.get("label")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateStateError, ShapeError
+from .errors import DegenerateStateError, NonFiniteError, ShapeError
 
 # One-vs-rest bipartition, identified by the 1-based subsystem index kept
 # on the row side of the corresponding matricization.
@@ -35,7 +35,8 @@ class PureState:
         Subsystem dimensions (N_1, ..., N_m), each >= 1.
     amps : numpy.ndarray
         Complex amplitudes, flat, row-major over (i_1, ..., i_m).
-        The array is read-only.
+        The array is read-only.  Every amplitude must be finite
+        (NonFiniteError otherwise).
     """
 
     dims: tuple[int, ...]
@@ -53,6 +54,8 @@ class PureState:
                 f"amplitude count {amps.size} does not match prod(dims) = "
                 f"{math.prod(dims)} for dims {dims}"
             )
+        if not np.isfinite(amps).all():
+            raise NonFiniteError("amplitudes must be finite")
         amps.flags.writeable = False
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amps", amps)
@@ -82,6 +85,8 @@ def make_state(dims, amps) -> PureState:
     ------
     ShapeError
         If len(amps) != prod(dims) or dims is empty/non-positive.
+    NonFiniteError
+        If any amplitude is NaN or infinite.
     DegenerateStateError
         If every amplitude is zero.
     """

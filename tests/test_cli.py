@@ -91,6 +91,20 @@ class TestConcurrenceCommand:
         assert out == ""
         assert "error" in err
 
+    def test_huge_integer_amplitude_is_format_error(self, capsys, tmp_path):
+        # 10**400 does not fit a double: a one-line input error (exit 2), not
+        # an OverflowError traceback with the domain-error exit code 1.
+        path = tmp_path / "huge.json"
+        path.write_text(
+            '{"dims": [2], "amps": [[1' + "0" * 400 + ', 0], [0, 0]]}', encoding="utf-8"
+        )
+        code, out, err = run_cli(capsys, "concurrence", "--state", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "amps[0]" in err
+        assert "Traceback" not in err
+
     def test_malformed_state_file(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"dims": [2], "amps": oops}', encoding="utf-8")

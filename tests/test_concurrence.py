@@ -150,14 +150,6 @@ class TestInvariances:
         b = bipartite_concurrence(swapped).value
         assert abs(a - b) <= 1e-12 * max(a, 1.0)
 
-    def test_parallel_matches_serial_bitwise(self):
-        rng = np.random.default_rng(99)
-        s = make_state([3, 4, 3], rng.standard_normal(36) + 1j * rng.standard_normal(36))
-        serial = tripartite_concurrence(s, parallel=False)
-        parallel = tripartite_concurrence(s, parallel=True)
-        assert serial.value == parallel.value
-        assert serial.per_cut_sums == parallel.per_cut_sums
-
 
 class TestZeroConcurrenceIffProduct:
     """Product states score ~0; Haar-random states score well above zero."""

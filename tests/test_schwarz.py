@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from qconc import (
     InternalConsistencyError,
+    NonFiniteError,
     ShapeError,
     enumerate_minors,
     gap_equals_minor_sum,
@@ -20,6 +21,7 @@ from qconc import (
     minor_sum_sq,
     schwarz_gap,
 )
+from qconc import schwarz
 
 from conftest import bell_state, ghz_state, qutrit_pair, unfold_brute_force
 
@@ -272,6 +274,16 @@ class TestEnumerateMinors:
         with pytest.raises(ShapeError):
             minor_count(np.ones(4))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_non_finite_entries_rejected(self, bad):
+        m = np.ones((3, 3), dtype=complex)
+        m[1, 2] = bad
+        for fn in (minor_sum_sq, max_abs_minor, minor_count):
+            with pytest.raises(NonFiniteError):
+                fn(m)
+        with pytest.raises(NonFiniteError):
+            next(enumerate_minors(m))
+
 
 class TestMinorSumSq:
     def test_bell(self):
@@ -316,3 +328,120 @@ class TestMinorSumSq:
         rng = np.random.default_rng(123)
         m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
         assert minor_sum_sq(m) == minor_sum_sq(m)
+
+
+def _scalar_minor_values(entries):
+    """Reference: every minor by scalar Python complex arithmetic.
+
+    Yields (a, b, c, d, value) with 0-based indices in lexicographic order;
+    this is the loop the vectorized kernel replaced, kept as its oracle.
+    """
+    nr, nc = entries.shape
+    if nr < 2 or nc < 2:
+        return
+    rows = [tuple(complex(z) for z in row) for row in entries]
+    for a in range(nr - 1):
+        ra = rows[a]
+        for b in range(a + 1, nr):
+            rb = rows[b]
+            for c in range(nc - 1):
+                rac = ra[c]
+                rbc = rb[c]
+                for d in range(c + 1, nc):
+                    yield a, b, c, d, rac * rb[d] - ra[d] * rbc
+
+
+def _bits(z):
+    # float.hex tells -0.0 from 0.0, which == does not.
+    return z.real.hex(), z.imag.hex()
+
+
+def _differential_corpus():
+    """Seeded matrices: the named shapes, transposed views, rank 1, tiny, signed zeros."""
+    rng = np.random.default_rng(20240917)
+
+    def gaussian(nr, nc):
+        return rng.standard_normal((nr, nc)) + 1j * rng.standard_normal((nr, nc))
+
+    corpus = []
+    for nr, nc in [(1, 7), (7, 1), (2, 2), (3, 5), (9, 9), (8, 64)]:
+        for rep in range(1 if nr * nc > 81 else 3):
+            m = gaussian(nr, nc)
+            corpus.append((f"gauss{nr}x{nc}#{rep}", m))
+            corpus.append((f"transposed{nc}x{nr}#{rep}", gaussian(nc, nr).T))
+            corpus.append((f"tiny{nr}x{nc}#{rep}", m * 1e-150))
+            u, v = gaussian(nr, 1), gaussian(1, nc)
+            corpus.append((f"rank1_{nr}x{nc}#{rep}", u @ v))
+            z = m.copy()
+            mask = rng.random(z.shape) < 0.5
+            z.real[mask] = np.copysign(0.0, rng.standard_normal(mask.sum()))
+            z.imag[~mask] = np.copysign(0.0, rng.standard_normal((~mask).sum()))
+            corpus.append((f"zeros{nr}x{nc}#{rep}", z))
+            corpus.append((f"zeros_t{nc}x{nr}#{rep}", z.T))
+    # Real input (imaginary parts all +0.0) and exact small integers.
+    corpus.append(("real9x9", rng.standard_normal((9, 9))))
+    corpus.append(("ints6x7", rng.integers(-3, 4, (6, 7)).astype(float)))
+    return corpus
+
+
+DIFFERENTIAL_CORPUS = _differential_corpus()
+
+
+def _assert_matches_reference(corpus):
+    mismatches = []
+    for name, m in corpus:
+        ref = list(_scalar_minor_values(m))
+        ref_sum = math.fsum(v.real * v.real + v.imag * v.imag for *_, v in ref)
+        ref_max = 0.0
+        for *_, v in ref:
+            if abs(v) > ref_max:
+                ref_max = abs(v)
+        if minor_sum_sq(m) != ref_sum:
+            mismatches.append(("minor_sum_sq", name))
+        if max_abs_minor(m) != ref_max:
+            mismatches.append(("max_abs_minor", name))
+        got = [(t.row_pair, t.col_pair, _bits(t.value)) for t in enumerate_minors(m)]
+        want = [((a + 1, b + 1), (c + 1, d + 1), _bits(v)) for a, b, c, d, v in ref]
+        if got != want:
+            mismatches.append(("enumerate_minors", name))
+    assert mismatches == []
+
+
+class TestKernelMatchesScalarReference:
+    """The vectorized kernel reproduces the scalar complex loop bit for bit."""
+
+    def test_corpus_bitwise(self):
+        _assert_matches_reference(DIFFERENTIAL_CORPUS)
+
+    # Steps that batch row pairs (100 minors: two row pairs of a 9x9, so
+    # batches cross from one row a to the next) and that split the column
+    # pairs into several blocks (7 and 1).
+    @pytest.mark.parametrize("chunk", [100, 7, 1])
+    def test_corpus_bitwise_small_steps(self, monkeypatch, chunk):
+        monkeypatch.setattr(schwarz, "_CHUNK", chunk)
+        _assert_matches_reference(
+            [(name, m) for name, m in DIFFERENTIAL_CORPUS if minor_count(m) <= 1296]
+        )
+
+    def test_corpus_covers_signed_zero_minors(self):
+        # The signed-zero matrices must actually produce -0.0 parts, or the
+        # bit comparison above would not test them.
+        values = [
+            v
+            for name, m in DIFFERENTIAL_CORPUS
+            if name.startswith("zeros")
+            for *_, v in _scalar_minor_values(m)
+        ]
+        assert any(math.copysign(1.0, v.real) < 0 and v.real == 0 for v in values)
+        assert any(math.copysign(1.0, v.imag) < 0 and v.imag == 0 for v in values)
+
+    # Entries up to 1e75 keep every squared minor below the overflow threshold.
+    @settings(max_examples=100)
+    @given(
+        st.integers(1, 6),
+        st.integers(1, 9),
+        st.lists(st.floats(-1e75, 1e75, allow_nan=False), min_size=108, max_size=108),
+    )
+    def test_arbitrary_finite_entries(self, nr, nc, parts):
+        m = np.array(parts[: nr * nc]) + 1j * np.array(parts[54 : 54 + nr * nc])
+        _assert_matches_reference([("hypothesis", m.reshape(nr, nc))])

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from qconc import (
     DegenerateStateError,
+    NonFiniteError,
     PureState,
+    QconcError,
     ShapeError,
     amplitude,
     linear_index,
@@ -56,6 +58,24 @@ class TestMakeState:
     def test_all_zero_raises(self):
         with pytest.raises(DegenerateStateError):
             make_state([2], [0, 0])
+
+    # Accepted, a NaN amplitude makes the concurrence nan and an inf one makes
+    # is_separable_cut report separable=True with NaN factors.
+    @pytest.mark.parametrize(
+        "amps",
+        [
+            [np.nan, 0, 0, 1],
+            [np.inf, 0, 0, 1],
+            [1, 0, 0, -np.inf],
+            [1, complex(0, np.nan), 0, 1],
+        ],
+    )
+    def test_non_finite_raises(self, amps):
+        for build in (make_state, lambda d, a: PureState(tuple(d), np.array(a, dtype=complex))):
+            with pytest.raises(NonFiniteError) as info:
+                build([2, 2], amps)
+            assert isinstance(info.value, QconcError)
+            assert isinstance(info.value, ValueError)
 
     def test_amps_are_read_only(self):
         s = make_state([2], [1, 0])
