@@ -29,7 +29,10 @@ from .states import PureState
 
 
 def _dump(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    try:
+        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    except ValueError:  # JSON has no inf or NaN
+        raise ValueError("a result is not finite and cannot be written as JSON") from None
 
 
 def _doc(command: str, parameters: dict, **fields) -> dict:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ArityError, CertificateError
 from .schwarz import Matricization, matricize, max_abs_minor, minor_sum_sq
-from .states import Cut, PureState, normalize
+from .states import Cut, PureState, normalize, peak_scaled
 
 DEFAULT_NORMALIZATION = 4.0
 DEFAULT_TOLERANCE = 1e-9
@@ -175,24 +175,28 @@ def is_separable_cut(
     All 2x2 minors of the cut's matricization are scanned; the cut is
     separable iff the largest |minor| is at most tolerance * (peak |amp|)^2.
     Minors scale quadratically in the amplitudes, so the verdict does not
-    depend on the input's normalization.  Factors are attached exactly when
-    separable.
+    depend on the input's normalization: it is decided on the peak_scaled
+    amplitudes, which no magnitude overflows or underflows, and the
+    reported max_abs_minor is scaled back (inf beyond the double range).
+    Factors are attached exactly when separable.
     """
     tolerance = float(tolerance)
     if not tolerance > 0.0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
     if state.subsystem_count < 2:
         raise ArityError("separability across a cut needs at least 2 subsystems")
-    mat = matricize(state, cut)
-    worst = max_abs_minor(mat)
-    scale = float(np.max(np.abs(state.amps))) ** 2
+    amps, e = peak_scaled(state)
+    worst = max_abs_minor(matricize(PureState(state.dims, amps), cut))
+    scale = float(np.max(np.abs(amps))) ** 2
     separable = worst <= tolerance * scale
     factors = None
     if separable:
         factors = _rank_one_factors(matricize(normalize(state), cut))
+    with np.errstate(over="ignore"):
+        reported = float(np.ldexp(worst, 2 * e))
     return SeparabilityCertificate(
         cut=cut,
-        max_abs_minor=worst,
+        max_abs_minor=reported,
         tolerance=tolerance,
         separable=separable,
         factors=factors,

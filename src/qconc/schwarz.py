@@ -15,16 +15,18 @@ Determinism contract: minors are evaluated in bounded chunks, in
 lexicographic (row_pair, col_pair) order, with elementwise real float64
 arithmetic in the order of a scalar complex product, so for finite input
 every minor equals the scalar ``M[a,c] * M[b,d] - M[a,d] * M[b,c]`` bit for
-bit.  Sums are accumulated with exactly rounded summation (math.fsum), so
-neither the chunking nor the order changes a single bit of the result.
+bit.  The sum of squared moduli is exactly rounded: every term is split
+exactly in two and accumulated per binary exponent, and one math.fsum over
+the exact per-exponent totals rounds once, so the result equals math.fsum
+over the terms bit for bit whatever the chunking or the order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
-from typing import Iterator, NamedTuple
+from functools import lru_cache
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -39,6 +41,25 @@ _GAP_CLAMP_REL = 1e-12
 # arrays of this length (about 1 MiB) whatever the matrix shape; smaller
 # steps pay more per-call numpy overhead, larger ones barely run faster.
 _CHUNK = 1 << 13
+
+# Exact summation.  A term's high part keeps the sign, the exponent and the
+# top 25 stored mantissa bits (_LOW_BITS cleared); its low part is the exact
+# remainder.  Within one biased exponent every high part is a multiple of one
+# quantum and below 2**26 of them, every low part a multiple of another and
+# below 2**27 of them, so the parts of up to _FLUSH_TERMS terms add to less
+# than 2**53 quanta: without rounding, in any order.  Exponent 2047 (inf,
+# NaN) keeps only its high part.
+_LOW_BITS = np.int64((1 << 27) - 1)
+_EXPONENTS = 2048
+_FLUSH_TERMS = 1 << 26
+
+# Candidates for the largest |minor| of a chunk: squared moduli within this
+# factor of the chunk's largest.  re*re + im*im is within a few ulps of
+# |minor|^2 while the largest is a normal number, and hypot within one ulp
+# of |minor|, so every minor outside the band has a smaller hypot than the
+# one at the top of the band.
+_BAND = 1.0 - 2.0**-40
+_TINY = float(np.finfo(np.float64).tiny)
 
 
 class MinorTerm(NamedTuple):
@@ -104,8 +125,10 @@ def schwarz_gap(x1, x2) -> float:
     """Schwarz gap ||x1||^2 ||x2||^2 - |<x1|x2>|^2, clamped to be >= 0.
 
     Tiny negative floating-point results (within 1e-12 of zero relative to
-    ||x1||^2 ||x2||^2) are clamped to 0; anything more negative would violate
-    Cauchy-Schwarz beyond rounding and raises InternalConsistencyError.
+    ||x1||^2 ||x2||^2, or above minus the smallest normal double, where
+    underflow leaves only an absolute error bound) are clamped to 0;
+    anything more negative would violate Cauchy-Schwarz beyond rounding and
+    raises InternalConsistencyError.
     """
     v1 = np.asarray(x1, dtype=np.complex128).reshape(-1)
     v2 = np.asarray(x2, dtype=np.complex128).reshape(-1)
@@ -118,7 +141,7 @@ def schwarz_gap(x1, x2) -> float:
     ip = complex(np.vdot(v1, v2))
     gap = n1 * n2 - (ip.real * ip.real + ip.imag * ip.imag)
     if gap < 0.0:
-        if gap >= -_GAP_CLAMP_REL * n1 * n2:
+        if gap >= -max(_GAP_CLAMP_REL * n1 * n2, _TINY):
             return 0.0
         raise InternalConsistencyError(
             f"Schwarz gap {gap} below the rounding floor for scale {n1 * n2}"
@@ -166,15 +189,29 @@ def _pair_blocks(n: int, size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Index arrays (i, j) of the pairs i < j < n in lexicographic order.
 
     The pairs come in blocks of ``size`` (the last block may be shorter),
-    so no more than ``size`` of the C(n, 2) pairs are held at once.
+    so no more than ``size`` of the C(n, 2) pairs are built at once.
+    """
+    total = n * (n - 1) // 2
+    for start in range(0, total, size):
+        yield _pair_block(n, start, min(start + size, total))
+
+
+@lru_cache(maxsize=64)
+def _pair_block(n: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (i, j) of the pairs at flat positions start..stop-1.
+
+    Cached because the same small blocks recur on every call and for every
+    row pair of a wide matrix; a block holds at most _CHUNK pairs, so the
+    cache holds at most 64 * 16 bytes * _CHUNK (8 MiB).
     """
     counts = np.arange(n - 1, 0, -1)
     first = np.cumsum(counts) - counts  # flat position of the pair (i, i+1)
-    total = n * (n - 1) // 2
-    for start in range(0, total, size):
-        flat = np.arange(start, min(start + size, total))
-        i = np.searchsorted(first, flat, side="right") - 1
-        yield i, flat - first[i] + i + 1
+    flat = np.arange(start, stop)
+    i = np.searchsorted(first, flat, side="right") - 1
+    j = flat - first[i] + i + 1
+    i.flags.writeable = False
+    j.flags.writeable = False
+    return i, j
 
 
 def _minor_parts(ra_re, ra_im, rb_re, rb_im, c, d) -> tuple[np.ndarray, np.ndarray]:
@@ -256,20 +293,76 @@ def minor_count(mat) -> int:
     return (nr * (nr - 1) // 2) * (nc * (nc - 1) // 2)
 
 
+def _exact_sum(chunks: Iterable[np.ndarray]) -> float:
+    """math.fsum of the non-negative float64 terms in ``chunks``, bit for bit.
+
+    Each term is split exactly into a high and a low part (see _LOW_BITS),
+    and np.bincount adds the parts per biased binary exponent without
+    rounding; the per-exponent totals are set aside before any of them
+    could stop being exact.  One math.fsum over those few hundred exact
+    totals then rounds once, and a correctly rounded sum is unique.  A NaN
+    term gives NaN, else an infinite term gives inf; finite terms whose sum
+    overflows raise OverflowError.  A chunk holds at most _FLUSH_TERMS terms.
+    """
+    bins = np.zeros((2, _EXPONENTS))  # high parts, low parts
+    totals: list[float] = []
+    pending = 0
+    for terms in chunks:
+        terms = terms.ravel()
+        if pending + terms.size > _FLUSH_TERMS:
+            totals += _bin_totals(bins)
+            bins[:] = 0.0
+            pending = 0
+        bits = terms.view(np.int64)
+        exponent = bits >> 52
+        exponent &= _EXPONENTS - 1
+        part = (bits & ~_LOW_BITS).view(np.float64)
+        with np.errstate(invalid="ignore", over="ignore"):  # checked in _bin_totals
+            bins[0] += np.bincount(exponent, part, _EXPONENTS)
+            np.subtract(terms, part, out=part)  # high parts -> low parts
+            bins[1] += np.bincount(exponent, part, _EXPONENTS)
+        pending += terms.size
+    return math.fsum(totals + _bin_totals(bins))
+
+
+def _bin_totals(bins: np.ndarray) -> list[float]:
+    """The nonzero exact totals of _exact_sum's bins, as Python floats."""
+    bins[1, -1] = 0.0  # inf - inf; the high part already carries inf/NaN
+    if not np.isfinite(bins[0, :-1]).all():
+        raise OverflowError("intermediate overflow in fsum")
+    return bins[bins != 0].tolist()
+
+
+def _max_modulus(chunks: Iterable[tuple[np.ndarray, np.ndarray]]) -> float:
+    """Largest hypot(re, im) over all chunks, equal to a full hypot scan.
+
+    Per chunk, hypot runs only on the candidates in _BAND of the largest
+    re*re + im*im.  When that largest is zero, subnormal, inf (the squares
+    overflow though hypot does not) or NaN, the whole chunk is scanned; a
+    NaN part therefore still makes the result NaN.
+    """
+    peaks = []
+    for re, im in chunks:
+        with np.errstate(over="ignore"):
+            sq = re * re
+            sq += im * im
+        top = sq.max()
+        if _TINY <= top < math.inf:
+            keep = sq >= top * _BAND
+            peaks.append(np.hypot(re[keep], im[keep]).max())
+        else:
+            peaks.append(np.hypot(re, im).max())
+    return float(np.max(peaks, initial=0.0))
+
+
 def minor_sum_sq(mat) -> float:
     """Sum of squared moduli of all second-order minors.
 
-    Each term is re*re + im*im of one minor; the terms of every chunk are
-    streamed into one exactly rounded math.fsum, so the result is
-    bit-reproducible and independent of the chunking.  A memoryview hands
-    fsum one Python float at a time, with no list of a chunk's terms.
+    Each term is re*re + im*im of one minor, and the sum is exactly
+    rounded: it equals math.fsum over the terms bit for bit, whatever the
+    chunking.
     """
-    return math.fsum(
-        chain.from_iterable(
-            memoryview((re * re + im * im).ravel())
-            for _, _, _, _, re, im in _minor_chunks(_as_entries(mat))
-        )
-    )
+    return _exact_sum(re * re + im * im for *_, re, im in _minor_chunks(_as_entries(mat)))
 
 
 def max_abs_minor(mat) -> float:
@@ -277,5 +370,4 @@ def max_abs_minor(mat) -> float:
 
     |minor| is libm hypot(re, im), the function behind abs(complex).
     """
-    peaks = [np.hypot(re, im).max() for _, _, _, _, re, im in _minor_chunks(_as_entries(mat))]
-    return float(np.max(peaks, initial=0.0))
+    return _max_modulus((re, im) for *_, re, im in _minor_chunks(_as_entries(mat)))

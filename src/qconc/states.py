@@ -69,8 +69,11 @@ class PureState:
         return self.amps.size
 
     def norm(self) -> float:
-        """Euclidean norm sqrt(sum |amp|^2)."""
-        return float(np.linalg.norm(self.amps))
+        """Euclidean norm sqrt(sum |amp|^2), taken of the peak_scaled
+        amplitudes, so it is inf only when the norm itself is."""
+        amps, e = peak_scaled(self)
+        with np.errstate(over="ignore"):
+            return float(np.ldexp(np.linalg.norm(amps), e))
 
     def __repr__(self) -> str:
         return f"PureState(dims={self.dims}, size={self.size})"
@@ -96,12 +99,34 @@ def make_state(dims, amps) -> PureState:
     return state
 
 
+def peak_scaled(state: PureState) -> tuple[np.ndarray, int]:
+    """The amplitudes times 2**-e, where 2**e is the power of two just
+    above the largest |Re amp| or |Im amp| (0 for the zero vector).
+
+    Scaling by a power of two is exact, so ratios of amplitudes and the
+    rounding of any product or quotient of them are unchanged, while the
+    largest real or imaginary part of the result lies in [0.5, 1): norms
+    and 2x2 minors of it neither overflow nor underflow to zero, whatever
+    the magnitude of the input.  Returns (scaled amplitudes, e).
+    """
+    parts = state.amps.view(np.float64)
+    e = int(np.frexp(np.max(np.abs(parts)))[1])
+    return np.ldexp(parts, -e).view(np.complex128), e
+
+
 def normalize(state: PureState) -> PureState:
-    """Scale the amplitudes by a positive real so that sum |amp|^2 = 1."""
-    nrm = state.norm()
+    """Scale the amplitudes by a positive real so that sum |amp|^2 = 1.
+
+    The norm is taken of the peak_scaled amplitudes, so a state of any
+    finite magnitude normalizes.  Where the plain norm neither overflows nor
+    underflows and no part is below 2**-1021 times the largest, the result
+    equals the amplitudes divided by their plain norm, bit for bit.
+    """
+    amps, _ = peak_scaled(state)
+    nrm = float(np.linalg.norm(amps))
     if nrm == 0.0:
         raise DegenerateStateError("cannot normalize the zero vector")
-    return PureState(state.dims, state.amps / nrm)
+    return PureState(state.dims, amps / nrm)
 
 
 def linear_index(dims: tuple[int, ...], multi_index) -> int:

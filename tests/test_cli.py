@@ -105,6 +105,14 @@ class TestConcurrenceCommand:
         assert "amps[0]" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("scale", [1e200, 1e160, 1e-170])
+    def test_extreme_magnitudes(self, capsys, tmp_path, scale):
+        path = tmp_path / "bell.json"
+        path.write_text(emit_state(make_state([2, 2], scale * bell_state().amps)), encoding="utf-8")
+        code, out, _ = run_cli(capsys, "concurrence", "--state", str(path))
+        assert code == 0
+        assert json.loads(out)["value"] == pytest.approx(1.0, abs=1e-10)
+
     def test_malformed_state_file(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"dims": [2], "amps": oops}', encoding="utf-8")
@@ -114,6 +122,31 @@ class TestConcurrenceCommand:
 
 
 class TestSeparabilityCommand:
+    def test_huge_amplitudes_unprintable_minor_is_input_error(self, capsys, tmp_path):
+        # Bell x 1e160 is entangled, but its max |minor| (5e319) has no
+        # double; JSON cannot carry inf, so it is a one-line error, exit 2.
+        path = tmp_path / "bell.json"
+        path.write_text(emit_state(make_state([2, 2], 1e160 * bell_state().amps)), encoding="utf-8")
+        code, out, err = run_cli(capsys, "separability", "--state", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "not finite" in err
+        assert "Traceback" not in err and "Infinity" not in err
+
+    def test_tiny_amplitudes_are_entangled(self, capsys, tmp_path):
+        path = tmp_path / "bell.json"
+        path.write_text(emit_state(make_state([2, 2], 1e-170 * bell_state().amps)), encoding="utf-8")
+        code, out, _ = run_cli(capsys, "separability", "--state", str(path))
+        assert code == 0
+        assert json.loads(out)["all_separable"] is False
+
+    def test_infinite_tolerance_is_not_printed(self, capsys, bell_file):
+        code, out, err = run_cli(capsys, "separability", "--state", bell_file, "--tol", "inf")
+        assert code == 2
+        assert out == ""
+        assert "Infinity" not in err
+
     def test_bell_single_cut(self, capsys, bell_file):
         code, out, _ = run_cli(
             capsys, "separability", "--state", bell_file, "--cut", "1"

@@ -15,6 +15,7 @@ from qconc import (
     is_separable_cut,
     make_state,
     matricize,
+    max_abs_minor,
     normalize,
     numeric_rank,
     oracle_concurrence,
@@ -209,6 +210,15 @@ class TestSeparabilityCertificates:
         big_bell = make_state([2, 2], 1e8 * bell_state().amps)
         assert not is_separable_cut(big_bell, 1).separable
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_reported_minor_is_unscaled(self, seed):
+        # The verdict is decided on power-of-two-scaled amplitudes; the
+        # reported max |minor| is that of the input, bit for bit.
+        rng = np.random.default_rng(seed)
+        state = make_state([3, 4], (rng.standard_normal(12) + 1j * rng.standard_normal(12)) * 10.0 ** (30 * seed - 60))
+        for cut in (1, 2):
+            assert is_separable_cut(state, cut).max_abs_minor == max_abs_minor(matricize(state, cut))
+
     def test_dimension_one_subsystem_is_trivially_separable(self):
         state = make_state([1, 4], [1, 2, 3, 4])
         cert = is_separable_cut(state, 1)
@@ -233,6 +243,41 @@ class TestSeparabilityCertificates:
         assert u.dims == (2,)
         assert rest.dims == (3, 2)
         assert fidelity(u.amps, phi.amps) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestExtremeMagnitudes:
+    """Amplitudes beyond the range where squares and norms stay finite and nonzero."""
+
+    SCALES = [1e200, 1e160, 1e-170]
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_bell_concurrence(self, scale):
+        state = make_state([2, 2], scale * bell_state().amps)
+        assert concurrence(state).value == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_bell_is_entangled(self, scale):
+        state = make_state([2, 2], scale * bell_state().amps)
+        for cut in (1, 2):
+            cert = is_separable_cut(state, cut)
+            assert not cert.separable
+            assert cert.factors is None
+        # max |minor| = scale^2 / 2: beyond the double range it is reported as inf.
+        assert is_separable_cut(state, 1).max_abs_minor == (math.inf if scale > 1 else 0.0)
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_product_is_separable(self, scale):
+        base = tensor(make_state([2], [0.6, 0.8j]), make_state([3], [1, 2j, -2]))
+        state = make_state([2, 3], scale * base.amps)
+        cert = is_separable_cut(state, 1)
+        assert cert.separable
+        assert reconstruction_fidelity(normalize(state), 1, *cert.factors) >= 1 - 1e-10
+        assert full_separability(state).fully_separable
+
+    def test_ghz_stays_entangled(self):
+        state = make_state([2, 2, 2], 1e200 * ghz_state().amps)
+        assert not full_separability(state).fully_separable
+        assert concurrence(state).value == pytest.approx(math.sqrt(3), abs=1e-10)
 
 
 class TestFactorizeCut:

@@ -2,6 +2,7 @@
 
 import math
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -68,6 +69,11 @@ class TestSchwarzGap:
     def test_nonnegative(self, x1, x2):
         n = min(len(x1), len(x2))
         assert schwarz_gap(x1[:n], x2[:n]) >= 0.0
+
+    def test_underflowed_scale_clamps(self):
+        # n1 * n2 is subnormal, so 1e-12 of it rounds to 0 while the gap
+        # carries an absolute underflow error of one subnormal ulp.
+        assert schwarz_gap([6j, 0], [5.21765229e-161j, 0]) == 0.0
 
     def test_consistency_error_is_exported(self):
         # The > -1e-12*scale clamp is exercised above; the error class itself
@@ -445,3 +451,137 @@ class TestKernelMatchesScalarReference:
     def test_arbitrary_finite_entries(self, nr, nc, parts):
         m = np.array(parts[: nr * nc]) + 1j * np.array(parts[54 : 54 + nr * nc])
         _assert_matches_reference([("hypothesis", m.reshape(nr, nc))])
+
+
+# Non-negative terms over the whole double range: zeros, subnormals, and
+# normals from the smallest to 1e300.
+term_lists = st.lists(
+    st.one_of(
+        st.floats(0, 1e300),
+        st.floats(0, 1e-300),
+        st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1e300]),
+    ),
+    max_size=60,
+)
+
+
+def _chunked(terms, size):
+    return [np.array(terms[k : k + size], dtype=float) for k in range(0, len(terms), size)]
+
+
+class TestExactSum:
+    """The bucketed exact sum equals math.fsum over the same terms, bit for bit."""
+
+    # A flush after every 4 terms exercises the totals set aside mid-stream.
+    @settings(max_examples=150)
+    @given(term_lists, st.sampled_from([1, 3, 100]), st.sampled_from([4, 1 << 26]))
+    def test_matches_fsum(self, terms, size, flush):
+        with mock.patch.object(schwarz, "_FLUSH_TERMS", flush):
+            got = schwarz._exact_sum(_chunked(terms, min(size, flush)))
+        assert got.hex() == math.fsum(terms).hex()
+
+    @pytest.mark.parametrize(
+        "chunks",
+        [[], [np.array([])], [np.array([0.0])], [np.array([5e-324])], [np.array([1e300])]],
+        ids=["no-chunk", "empty-chunk", "zero", "subnormal", "single"],
+    )
+    def test_empty_and_single(self, chunks):
+        terms = [t for c in chunks for t in c.tolist()]
+        assert schwarz._exact_sum(chunks).hex() == math.fsum(terms).hex()
+
+    def test_every_exponent(self):
+        # Thousands of terms with every binary exponent from subnormal to 2**999.
+        rng = np.random.default_rng(31)
+        terms = np.ldexp(rng.random(20000), rng.integers(-1074, 1000, 20000))
+        want = math.fsum(terms.tolist()).hex()
+        for size in (1 << 13, 7):
+            assert schwarz._exact_sum(_chunked(terms.tolist(), size)).hex() == want
+
+    def test_non_finite_terms(self):
+        assert math.isnan(schwarz._exact_sum([np.array([1.0, np.inf]), np.array([np.nan])]))
+        assert schwarz._exact_sum([np.array([1.0]), np.array([np.inf, 2.0])]) == math.inf
+        with pytest.raises(OverflowError):
+            math.fsum([1.7e308, 1.7e308])
+        with pytest.raises(OverflowError):
+            schwarz._exact_sum([np.array([1.7e308]), np.array([1.7e308])])
+
+
+def _full_scan_reference(m):
+    """math.fsum of every |minor|^2 and the full np.hypot scan, at the default step."""
+    parts = [(re.ravel(), im.ravel()) for *_, re, im in schwarz._minor_chunks(m)]
+    re = np.concatenate([p[0] for p in parts] or [np.zeros(0)])
+    im = np.concatenate([p[1] for p in parts] or [np.zeros(0)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = (re * re + im * im).tolist()
+        peak = float(np.max(np.hypot(re, im), initial=0.0))
+    return math.fsum(terms), peak
+
+
+def _assert_reductions_match_full_scan(m):
+    want_sum, want_max = _full_scan_reference(m)
+    for chunk in (100, 7, 1):
+        with mock.patch.object(schwarz, "_CHUNK", chunk):
+            assert minor_sum_sq(m).hex() == want_sum.hex(), chunk
+            assert max_abs_minor(m).hex() == want_max.hex(), chunk
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+class TestReductionsMatchFullScan:
+    """minor_sum_sq and max_abs_minor against fsum and a full hypot scan, bit for bit."""
+
+    # Entries from 1e-82 to 1e75 give terms from underflow and subnormals up
+    # to about 1e300, mixed within one chunk.
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.integers(2, 7))
+    def test_wide_magnitudes(self, seed, nr, nc):
+        rng = np.random.default_rng(seed)
+        m = rng.standard_normal((nr, nc)) + 1j * rng.standard_normal((nr, nc))
+        m *= 10.0 ** rng.integers(-82, 76, (nr, nc))
+        m[rng.random((nr, nc)) < 0.2] = 0
+        _assert_reductions_match_full_scan(m)
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            # Ties: many minors of the same largest modulus.
+            np.array([[1.0, 1.0, -1.0, 2.0], [1.0, -1.0, 1.0, 0.0], [2.0, 0.0, 0.0, 2.0]]),
+            np.kron(np.eye(3), np.ones((2, 2))),
+            # |minor| near 1.7e154: its square overflows, hypot does not.
+            np.array([[1.3e77, 1e60, 1.2e77], [1e60, 1.3e77, 1e76]]),
+            # All-tiny: every square underflows to zero or a subnormal.
+            np.full((3, 4), 1e-90) * np.arange(1, 13).reshape(3, 4),
+            np.array([[3e-81, 0.0], [0.0, 3e-81j]]),
+            # Products overflow, so minors are inf - inf = NaN.
+            np.full((2, 3), 1e200),
+        ],
+        ids=["ties", "block-ties", "square-overflow", "tiny", "subnormal", "nan"],
+    )
+    def test_edge_matrices(self, m):
+        _assert_reductions_match_full_scan(m)
+
+    def test_nan_minor_gives_nan(self):
+        assert math.isnan(max_abs_minor(np.full((2, 3), 1e200)))
+
+    @pytest.mark.parametrize(
+        "re, im",
+        [
+            ([3.0, -3.0, 0.0, 4.0], [4.0, 4.0, 5.0, -3.0]),
+            # re*re + im*im and hypot order these two oppositely, by one ulp.
+            ([-0.47814097792371635, -0.7733435123746463], [-0.8782831008451387, 0.6339872332058787]),
+            # Subnormal squares: 40 vs 41 units of 2**-1074, yet the first is larger.
+            ([1.0061513347050303e-161, 1.4163002937638123e-161], [1.0061513347050303e-161, 0.0]),
+            ([1.5e154, 1.4e154, 1e150], [1e154, 1.2e154, 0.0]),
+            ([1e-170, 3e-170, 0.0], [2e-170, 0.0, 5e-324]),
+            ([1.0, np.nan, 2.0], [0.0, 0.0, 0.0]),
+            ([np.inf, 1.0], [np.nan, 0.0]),
+            ([0.0, 0.0], [-0.0, 0.0]),
+        ],
+        ids=["ties", "order", "subnormal-order", "square-overflow", "tiny", "nan", "inf-nan", "zeros"],
+    )
+    def test_max_modulus_chunks(self, re, im):
+        re, im = np.array(re), np.array(im)
+        want = float(np.hypot(re, im).max())
+        for k in (1, 2, len(re)):
+            chunks = [(re[i : i + k], im[i : i + k]) for i in range(0, len(re), k)]
+            assert schwarz._max_modulus(chunks).hex() == want.hex()

@@ -126,6 +126,26 @@ class TestNormalize:
         s = normalize(make_state([3, 2], np.arange(1, 7)))
         assert s.dims == (3, 2)
 
+    # The plain norm overflows (1e200, 1e160) or underflows to 0 (1e-170,
+    # 5e-324); the peak-scaled norm does neither.
+    @pytest.mark.parametrize("scale", [1e200, 1e160, 1e-170, 5e-324, 1.7e308])
+    def test_extreme_magnitudes(self, scale):
+        s = normalize(make_state([2, 2], scale * bell_state().amps * math.sqrt(2.0)))
+        np.testing.assert_allclose(s.amps, bell_state().amps, rtol=0, atol=1e-15)
+
+    def test_matches_plain_division_bitwise(self):
+        # Power-of-two prescaling is exact: wherever the plain norm is safe,
+        # the norm and the normalized amplitudes are the plain ones, bit for bit.
+        rng = np.random.default_rng(8)
+        for k in range(200):
+            n = int(rng.integers(1, 40))
+            amps = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 10.0 ** rng.uniform(-140, 140)
+            if k % 4 == 0:
+                amps.real[rng.random(n) < 0.5] = 0.0
+            state = make_state([n], amps)
+            assert state.norm() == np.linalg.norm(amps)
+            assert normalize(state).amps.tobytes() == (amps / np.linalg.norm(amps)).tobytes()
+
 
 class TestIndexing:
     def test_linear_index_first_and_last(self):
@@ -216,6 +236,11 @@ class TestPureStateBasics:
     def test_norm_of_unnormalized(self):
         s = make_state([2], [3, 4])
         assert s.norm() == pytest.approx(5.0)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-170, 5e-324])
+    def test_norm_of_extreme_magnitudes(self, scale):
+        # The squares overflow or underflow; the norm itself does not.
+        assert make_state([2], [3 * scale, 4 * scale]).norm() == pytest.approx(5 * scale, rel=1e-15)
 
     def test_dataclass_is_frozen(self):
         s = make_state([2], [1, 0])
