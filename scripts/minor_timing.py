@@ -3,12 +3,14 @@
 
 The minor count is C(N,2) * C(M,2), i.e. quartic in the subsystem dimension
 for square [N, N] states, so this is the operation that bounds interactive
-use.  For each size it times the bare kernel (draining schwarz._minor_chunks
-on the cut-1 matricization, the floor both uses share),
-bipartite_concurrence (the sum of squared minors) and max_abs_minor on the
-same matricization (the separability certificate's scan), and prints the
-minor count, the best wall time of each, and their throughput in minors per
-second.  A use's time minus the kernel's is the cost of its reduction.
+use.  After the square sweep comes one [8, 64] state, whose 8x64
+matricization is the shape of every unfolding of an [8, 8, 8] state.  For
+each size it times the bare kernel (draining schwarz._minor_chunks on the
+cut-1 matricization, the floor both uses share), bipartite_concurrence (the
+sum of squared minors) and max_abs_minor on the same matricization (the
+separability certificate's scan), and prints the minor count, the best wall
+time of each, and their throughput in minors per second.  A use's time
+minus the kernel's is the cost of its reduction.
 """
 
 import argparse
@@ -50,16 +52,17 @@ def main() -> int:
         f"{'dims':>10} {'minors':>10} {'kernel s':>9} {'kernel minors/s':>15} "
         f"{'sum s':>9} {'sum minors/s':>13} {'max s':>9} {'max minors/s':>13} {'value':>9}"
     )
-    for n in args.dims:
+    for rows, cols in [(n, n) for n in args.dims] + [(8, 64)]:
         rng = np.random.default_rng(args.seed)
-        state = make_state([n, n], rng.standard_normal(n * n) + 1j * rng.standard_normal(n * n))
+        size = rows * cols
+        state = make_state([rows, cols], rng.standard_normal(size) + 1j * rng.standard_normal(size))
         mat = matricize(state, 1)
-        minors = math.comb(n, 2) ** 2
+        minors = math.comb(rows, 2) * math.comb(cols, 2)
         kernel_s, _ = best_time(lambda: drain(mat.entries), args.repeats)
         sum_s, report = best_time(lambda: bipartite_concurrence(state), args.repeats)
         max_s, _ = best_time(lambda: max_abs_minor(mat), args.repeats)
         print(
-            f"[{n:>3},{n:>3}] {minors:>10} {kernel_s:>9.4f} {minors / kernel_s:>15.3e} "
+            f"[{rows:>3},{cols:>3}] {minors:>10} {kernel_s:>9.4f} {minors / kernel_s:>15.3e} "
             f"{sum_s:>9.4f} {minors / sum_s:>13.3e} "
             f"{max_s:>9.4f} {minors / max_s:>13.3e} {report.value:>9.5f}"
         )

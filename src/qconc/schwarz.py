@@ -11,14 +11,16 @@ into a rows-by-rest coefficient matrix, and the squared moduli of all its 2x2
 minors measure how far the rows are from mutual parallelism, i.e. how far the
 cut is from being separable.
 
-Determinism contract: minors are evaluated in bounded chunks, in
-lexicographic (row_pair, col_pair) order, with elementwise real float64
-arithmetic in the order of a scalar complex product, so for finite input
-every minor equals the scalar ``M[a,c] * M[b,d] - M[a,d] * M[b,c]`` bit for
-bit.  The sum of squared moduli is exactly rounded: every term is split
-exactly in two and accumulated per binary exponent, and one math.fsum over
-the exact per-exponent totals rounds once, so the result equals math.fsum
-over the terms bit for bit whatever the chunking or the order.
+Determinism contract: minors are evaluated in bounded chunks, per block of
+row pairs and by column offset, with elementwise real float64 arithmetic in
+the order of a scalar complex product, so for finite input every minor
+equals the scalar ``M[a,c] * M[b,d] - M[a,d] * M[b,c]`` bit for bit, and
+the minors of M.T equal those of M.  The sum of squared moduli is exactly
+rounded: every term is split exactly in two and accumulated per binary
+exponent, and one math.fsum over the exact per-exponent totals rounds once,
+so the result equals math.fsum over the terms bit for bit whatever the
+chunking or the order; the largest modulus does not depend on the order
+either.  enumerate_minors yields the minors in lexicographic order.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -37,9 +40,11 @@ from .states import Cut, PureState
 # treated as a bug rather than rounding.
 _GAP_CLAMP_REL = 1e-12
 
-# Minors evaluated per kernel step.  A step holds about fourteen float64
-# arrays of this length (about 1 MiB) whatever the matrix shape; smaller
-# steps pay more per-call numpy overhead, larger ones barely run faster.
+# Minors per kernel chunk, and at most per step.  A call holds about twelve
+# float64 arrays of this length (about 0.75 MiB) whatever the matrix shape:
+# the gathered row-pair block, two step buffers and the chunk's output.
+# Smaller steps pay more per-call numpy overhead, larger ones fall out of
+# the CPU caches.
 _CHUNK = 1 << 13
 
 # Exact summation.  A term's high part keeps the sign, the exponent and the
@@ -52,6 +57,7 @@ _CHUNK = 1 << 13
 _LOW_BITS = np.int64((1 << 27) - 1)
 _EXPONENTS = 2048
 _FLUSH_TERMS = 1 << 26
+_SAFE_EXPONENTS = _EXPONENTS - 64
 
 # Candidates for the largest |minor| of a chunk: squared moduli within this
 # factor of the chunk's largest.  re*re + im*im is within a few ulps of
@@ -200,9 +206,9 @@ def _pair_blocks(n: int, size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
 def _pair_block(n: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (i, j) of the pairs at flat positions start..stop-1.
 
-    Cached because the same small blocks recur on every call and for every
-    row pair of a wide matrix; a block holds at most _CHUNK pairs, so the
-    cache holds at most 64 * 16 bytes * _CHUNK (8 MiB).
+    Cached because the same blocks recur on every call with the same
+    shape; a block holds at most _CHUNK pairs, so the cache holds at most
+    64 * 16 bytes * _CHUNK (8 MiB).
     """
     counts = np.arange(n - 1, 0, -1)
     first = np.cumsum(counts) - counts  # flat position of the pair (i, i+1)
@@ -214,52 +220,92 @@ def _pair_block(n: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
     return i, j
 
 
-def _minor_parts(ra_re, ra_im, rb_re, rb_im, c, d) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts of  ra[:, c] rb[:, d] - ra[:, d] rb[:, c].
+def _minor_chunks(entries: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield (re, im) chunks that together hold every minor exactly once.
 
-    ra and rb are (k, cols) row blocks; the result is (k, len(c)).  Each
-    product is formed as  re = xr*yr - xi*yi,  im = xr*yi + xi*yr  and the
-    two products are then subtracted: CPython's complex arithmetic step for
-    step.  numpy applies each elementwise operation with one IEEE rounding
-    (einsum/dot/matmul may fuse or reorder, so they are not used), and every
-    value equals the scalar complex expression bit for bit.
+    re and im are 1-D arrays of at most _CHUNK minors, fresh for each
+    chunk.  The offset runs along the shorter axis: a wide matrix is read as
+    its transpose, whose minors are the same values bit for bit (p keeps
+    its operands, q swaps its two factors, and IEEE products and sums
+    commute, signed zeros included).  On the (rows, cols) matrix so
+    oriented, a block of row pairs (a, b) is gathered once, column-major,
+    with columns 0..cols-2 stored again after the last one.  The minor of
+    columns c and c + s is A[c] B[c+s] - A[c+s] B[c], whose operands for all
+    c at once are contiguous slices of the block; past the last column the
+    same slices reach columns (c + s - cols, c), a minor of offset cols - s
+    that is q - p.  So one step per offset s <= cols/2 covers the offsets s
+    and cols - s without a gather.  Each step forms both products as
+    re = xr*yr - xi*yi,  im = xr*yi + xi*yr  and subtracts them: CPython's
+    complex arithmetic step for step, one IEEE rounding per elementwise
+    operation (einsum/dot/matmul may fuse or reorder, so they are not
+    used), and every value equals the scalar complex expression bit for
+    bit.  Steps write into buffers allocated once per call and are packed
+    into chunks; a step longer than _CHUNK is split.  Minors come per
+    row-pair block and by offset, not in lexicographic order.
     """
-    ac_re, ac_im = ra_re.take(c, axis=1), ra_im.take(c, axis=1)
-    ad_re, ad_im = ra_re.take(d, axis=1), ra_im.take(d, axis=1)
-    bc_re, bc_im = rb_re.take(c, axis=1), rb_im.take(c, axis=1)
-    bd_re, bd_im = rb_re.take(d, axis=1), rb_im.take(d, axis=1)
-    p_re = ac_re * bd_re - ac_im * bd_im
-    p_im = ac_re * bd_im + ac_im * bd_re
-    q_re = ad_re * bc_re - ad_im * bc_im
-    q_im = ad_re * bc_im + ad_im * bc_re
-    return p_re - q_re, p_im - q_im
-
-
-def _minor_chunks(
-    entries: np.ndarray,
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """Yield (a, b, c, d, re, im) chunks covering every minor once, in order.
-
-    Row k of a chunk is the row pair (a[k], b[k]) (0-based) against the
-    column pairs (c[p], d[p]); re[k, p] and im[k, p] are the parts of
-    M[a,c] M[b,d] - M[a,d] M[b,c].  Reading the chunks row by row gives
-    lexicographic (a, b, c, d) order.  A chunk holds about _CHUNK minors:
-    several row pairs when all column pairs fit, else one row pair against
-    one block of column pairs.
-    """
+    if entries.shape[0] < entries.shape[1]:
+        entries = entries.T
     nr, nc = entries.shape
-    if nr < 2 or nc < 2:
+    if nc < 2:
         return
-    re = np.ascontiguousarray(entries.real)
-    im = np.ascontiguousarray(entries.imag)
-    pairs = math.comb(nc, 2)
-    # Column pairs that fit one block are indexed once; wider matrices
-    # rebuild their blocks per row pair instead of holding all of them.
-    blocks = list(_pair_blocks(nc, pairs)) if pairs <= _CHUNK else None
-    for a, b in _pair_blocks(nr, max(1, _CHUNK // pairs)):
-        ra_re, ra_im, rb_re, rb_im = re[a], im[a], re[b], im[b]
-        for c, d in blocks or _pair_blocks(nc, _CHUNK):
-            yield (a, b, c, d, *_minor_parts(ra_re, ra_im, rb_re, rb_im, c, d))
+    parts = np.empty((2, nc, nr))
+    parts[0] = entries.real.T
+    parts[1] = entries.imag.T
+    pairs = nr * (nr - 1) // 2
+    k = min(pairs, max(1, _CHUNK // nc))  # row pairs per block
+    span = min(nc, _CHUNK // k)  # columns per step
+    scratch = np.empty((2, span * k))
+    block_buf = np.empty(4 * (2 * nc - 1) * k)
+    remaining = pairs * (nc * (nc - 1) // 2)
+    out = np.empty((2, 0))
+    pos = 0
+    for a, b in _pair_blocks(nr, k):
+        kk = a.size
+        block = block_buf[: 4 * (2 * nc - 1) * kk].reshape(4, 2 * nc - 1, kk)
+        block[:2, :nc] = parts.take(a, axis=2)
+        block[2:, :nc] = parts.take(b, axis=2)
+        block[:, nc:] = block[:, : nc - 1]
+        ar, ai, br, bi = block.reshape(4, -1)
+        for s in range(1, nc // 2 + 1):
+            width = nc if 2 * s < nc else s  # offset cols/2 has no wrapped part
+            for c0 in range(0, width, span):
+                m = min(span, width - c0) * kk
+                if pos + m > out.shape[1]:
+                    if pos:
+                        yield out[0, :pos], out[1, :pos]
+                    remaining -= pos
+                    out = np.empty((2, min(_CHUNK, remaining)))
+                    pos = 0
+                x, y = c0 * kk, (c0 + s) * kk
+                acr, aci, bcr, bci = ar[x : x + m], ai[x : x + m], br[x : x + m], bi[x : x + m]
+                adr, adi, bdr, bdi = ar[y : y + m], ai[y : y + m], br[y : y + m], bi[y : y + m]
+                re, im = out[0, pos : pos + m], out[1, pos : pos + m]  # p, then the minor
+                q, tmp = scratch[:, :m]
+                w = min(m, max(0, (nc - s - c0) * kk))  # minors with c + s < cols
+                np.multiply(acr, bdr, out=re)
+                np.multiply(aci, bdi, out=tmp)
+                np.subtract(re, tmp, out=re)
+                np.multiply(adr, bcr, out=q)
+                np.multiply(adi, bci, out=tmp)
+                np.subtract(q, tmp, out=q)
+                _subtract_wrapped(re, q, w)
+                np.multiply(acr, bdi, out=im)
+                np.multiply(aci, bdr, out=tmp)
+                np.add(im, tmp, out=im)
+                np.multiply(adr, bci, out=q)
+                np.multiply(adi, bcr, out=tmp)
+                np.add(q, tmp, out=q)
+                _subtract_wrapped(im, q, w)
+                pos += m
+    if pos:
+        yield out[0, :pos], out[1, :pos]
+
+
+def _subtract_wrapped(p: np.ndarray, q: np.ndarray, w: int) -> None:
+    """p - q in place for the first w minors of a step, q - p past them."""
+    np.subtract(p[:w], q[:w], out=p[:w])
+    if w < p.size:
+        np.subtract(q[w:], p[w:], out=p[w:])
 
 
 def _as_entries(mat) -> np.ndarray:
@@ -277,14 +323,22 @@ def enumerate_minors(mat) -> Iterator[MinorTerm]:
 
     Accepts a Matricization or any 2-D complex array of finite entries.
     Terms come in deterministic lexicographic (row_pair, col_pair) order;
-    the stream is empty when rows < 2 or cols < 2.
+    the stream is empty when rows < 2 or cols < 2.  Each row pair's minors
+    come from the kernel run on those two rows: it reads the 2 x cols
+    matrix as its transpose, one block of row pairs that are the column
+    pairs in order, at the single offset 1.
     """
-    for a, b, c, d, re, im in _minor_chunks(_as_entries(mat)):
-        col_pairs = list(zip((c + 1).tolist(), (d + 1).tolist()))
-        for ra, rb, re_row, im_row in zip(a.tolist(), b.tolist(), re.tolist(), im.tolist()):
-            row_pair = (ra + 1, rb + 1)
-            for col_pair, x, y in zip(col_pairs, re_row, im_row):
-                yield MinorTerm(row_pair, col_pair, complex(x, y))
+    entries = _as_entries(mat)
+    nr, nc = entries.shape
+    col_pairs = list(combinations(range(1, nc + 1), 2))
+    for a, b in combinations(range(nr), 2):
+        values = (
+            complex(x, y)
+            for re, im in _minor_chunks(entries[[a, b]])
+            for x, y in zip(re.tolist(), im.tolist())
+        )
+        for col_pair, value in zip(col_pairs, values):
+            yield MinorTerm((a + 1, b + 1), col_pair, value)
 
 
 def minor_count(mat) -> int:
@@ -303,33 +357,44 @@ def _exact_sum(chunks: Iterable[np.ndarray]) -> float:
     totals then rounds once, and a correctly rounded sum is unique.  A NaN
     term gives NaN, else an infinite term gives inf; finite terms whose sum
     overflows raise OverflowError.  A chunk holds at most _FLUSH_TERMS terms.
+    Only the bins up to the largest exponent present are filled and read.
     """
     bins = np.zeros((2, _EXPONENTS))  # high parts, low parts
+    top = 0  # bins from here up are zero
     totals: list[float] = []
     pending = 0
     for terms in chunks:
         terms = terms.ravel()
         if pending + terms.size > _FLUSH_TERMS:
-            totals += _bin_totals(bins)
-            bins[:] = 0.0
-            pending = 0
+            totals += _bin_totals(bins[:, :top])
+            bins[:, :top] = 0.0
+            top = pending = 0
         bits = terms.view(np.int64)
         exponent = bits >> 52
         exponent &= _EXPONENTS - 1
         part = (bits & ~_LOW_BITS).view(np.float64)
         with np.errstate(invalid="ignore", over="ignore"):  # checked in _bin_totals
-            bins[0] += np.bincount(exponent, part, _EXPONENTS)
+            high = np.bincount(exponent, part)  # up to the largest exponent
+            width = high.size
+            bins[0, :width] += high
             np.subtract(terms, part, out=part)  # high parts -> low parts
-            bins[1] += np.bincount(exponent, part, _EXPONENTS)
+            bins[1, :width] += np.bincount(exponent, part, width)
+        top = max(top, width)
         pending += terms.size
-    return math.fsum(totals + _bin_totals(bins))
+    return math.fsum(totals + _bin_totals(bins[:, :top]))
 
 
 def _bin_totals(bins: np.ndarray) -> list[float]:
-    """The nonzero exact totals of _exact_sum's bins, as Python floats."""
-    bins[1, -1] = 0.0  # inf - inf; the high part already carries inf/NaN
-    if not np.isfinite(bins[0, :-1]).all():
-        raise OverflowError("intermediate overflow in fsum")
+    """The nonzero exact totals of _exact_sum's bins 0..n-1, as Python floats.
+
+    Bins below _SAFE_EXPONENTS hold fewer than _FLUSH_TERMS terms under
+    2**961 each, so they cannot overflow and need no check.
+    """
+    if bins.shape[1] > _SAFE_EXPONENTS:
+        if bins.shape[1] == _EXPONENTS:
+            bins[1, -1] = 0.0  # inf - inf; the high part already carries inf/NaN
+        if not np.isfinite(bins[0, : _EXPONENTS - 1]).all():
+            raise OverflowError("intermediate overflow in fsum")
     return bins[bins != 0].tolist()
 
 
@@ -362,7 +427,16 @@ def minor_sum_sq(mat) -> float:
     rounded: it equals math.fsum over the terms bit for bit, whatever the
     chunking.
     """
-    return _exact_sum(re * re + im * im for *_, re, im in _minor_chunks(_as_entries(mat)))
+    return _exact_sum(_squared_moduli(_minor_chunks(_as_entries(mat))))
+
+
+def _squared_moduli(chunks: Iterable[tuple[np.ndarray, np.ndarray]]) -> Iterator[np.ndarray]:
+    """re*re + im*im per chunk, computed in the kernel's fresh chunk arrays."""
+    for re, im in chunks:
+        np.multiply(re, re, out=re)
+        np.multiply(im, im, out=im)
+        np.add(re, im, out=re)
+        yield re
 
 
 def max_abs_minor(mat) -> float:
@@ -370,4 +444,4 @@ def max_abs_minor(mat) -> float:
 
     |minor| is libm hypot(re, im), the function behind abs(complex).
     """
-    return _max_modulus((re, im) for *_, re, im in _minor_chunks(_as_entries(mat)))
+    return _max_modulus(_minor_chunks(_as_entries(mat)))

@@ -29,6 +29,11 @@ from .states import PureState, make_state, normalize, tensor
 
 SAMPLER_KINDS = ("haar", "product", "basis")
 
+# Largest amplitude count a sampler draws: 16 MiB of complex amplitudes,
+# about 45 MiB as a state file.  SamplerSpec refuses more before anything
+# is allocated.
+MAX_SAMPLE_AMPLITUDES = 1 << 20
+
 
 def _fmt_float(x: float) -> str:
     # 17 significant digits; force a decimal point so json round-trips the
@@ -74,6 +79,8 @@ class StateFile:
             raise StateFormatError(
                 f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
             ) from None
+        except RecursionError:
+            raise StateFormatError("JSON arrays or objects are nested too deeply") from None
         if not isinstance(doc, dict):
             raise StateFormatError("top-level value must be a JSON object")
         dims = doc.get("dims")
@@ -152,6 +159,11 @@ class SamplerSpec:
         dims = tuple(int(d) for d in self.dims)
         if not dims or any(d < 1 for d in dims):
             raise ValueError(f"dims must be positive integers, got {self.dims}")
+        if math.prod(dims) > MAX_SAMPLE_AMPLITUDES:
+            raise ValueError(
+                f"dims {dims} give {math.prod(dims)} amplitudes; "
+                f"the samplers draw at most {MAX_SAMPLE_AMPLITUDES}"
+            )
         if self.kind not in SAMPLER_KINDS:
             raise ValueError(f"unknown sampler kind {self.kind!r}; expected one of {SAMPLER_KINDS}")
         if not 0 <= int(self.seed) < 2**64:

@@ -4,12 +4,14 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qconc import __version__, emit_state, make_state, parse_state, tensor
 from qconc.cli import cli_main
+from qconc.stateio import MAX_SAMPLE_AMPLITUDES
 
 from conftest import bell_state, ghz_state, ket
 
@@ -103,6 +105,18 @@ class TestConcurrenceCommand:
         assert out == ""
         assert err.count("\n") == 1
         assert "amps[0]" in err
+        assert "Traceback" not in err
+
+    def test_deeply_nested_state_is_format_error(self, capsys, tmp_path):
+        # json's decoder gives up on deep nesting with a RecursionError: a
+        # one-line input error (exit 2), not a traceback with exit 1.
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+        code, out, err = run_cli(capsys, "concurrence", "--state", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "nested too deeply" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("scale", [1e200, 1e160, 1e-170])
@@ -295,6 +309,22 @@ class TestSampleCommand:
             capsys, "sample", "--dims", "2,x", "--kind", "haar", "--seed", "0"
         )
         assert code == 2
+
+    def test_oversized_dims_refused_before_allocating(self, capsys):
+        # 2**40 amplitudes would need 16 TiB; the refusal must come first.
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(
+                capsys, "sample", "--dims", "1048576,1048576", "--kind", "haar", "--seed", "0"
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert str(MAX_SAMPLE_AMPLITUDES) in err
+        assert peak < 1 << 20
 
     def test_negative_seed_rejected(self, capsys):
         code, _, err = run_cli(

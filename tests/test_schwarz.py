@@ -453,6 +453,66 @@ class TestKernelMatchesScalarReference:
         _assert_matches_reference([("hypothesis", m.reshape(nr, nc))])
 
 
+def _small(corpus):
+    return [(name, m) for name, m in corpus if minor_count(m) <= 1296]
+
+
+_WIDE = ("gauss8x64#0", "zeros_t64x8#0")
+
+
+def _kernel_minor_bits(m):
+    """Sorted (re, im) bits of every minor the kernel yields for m."""
+    return sorted(
+        (x.hex(), y.hex())
+        for re, im in schwarz._minor_chunks(m)
+        for x, y in zip(re.tolist(), im.tolist())
+    )
+
+
+class TestKernelOffsetLayout:
+    """What the offset kernel relies on: exact transposition and bounded chunks."""
+
+    @pytest.mark.parametrize("chunk", [None, 100, 7, 1])
+    def test_transpose_gives_same_bits(self, monkeypatch, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(schwarz, "_CHUNK", chunk)
+        corpus = DIFFERENTIAL_CORPUS if chunk is None else _small(DIFFERENTIAL_CORPUS)
+        for name, m in corpus:
+            assert minor_sum_sq(m).hex() == minor_sum_sq(m.T).hex(), name
+            assert max_abs_minor(m).hex() == max_abs_minor(m.T).hex(), name
+
+    @pytest.mark.parametrize("chunk", [None, 100, 7, 1])
+    def test_every_minor_once_in_either_orientation(self, monkeypatch, chunk):
+        # The kernel reads a wide matrix as its transpose; the scalar minors
+        # of m and of m.T must both be exactly what it yields, as multisets.
+        if chunk is not None:
+            monkeypatch.setattr(schwarz, "_CHUNK", chunk)
+        corpus = _small(DIFFERENTIAL_CORPUS)
+        if chunk is None:  # one tall and one wide tripartite-sized unfolding
+            corpus += [(n, m) for n, m in DIFFERENTIAL_CORPUS if n in _WIDE]
+        for name, m in corpus:
+            got = _kernel_minor_bits(m)
+            for ref in (m, m.T):
+                assert got == sorted(_bits(v) for *_, v in _scalar_minor_values(ref)), name
+
+    @pytest.mark.parametrize(
+        "shape, chunk",
+        [((9, 9), 7), ((9, 9), 1), ((9, 9), 100), ((8, 64), 100), ((64, 8), 7), ((3, 40), 16)],
+    )
+    def test_chunks_hold_at_most_chunk_minors(self, monkeypatch, shape, chunk):
+        # At (9, 9) and _CHUNK = 7 one row pair's offset-1 slice (9 columns,
+        # with its wrapped part) is longer than a chunk and must be split.
+        monkeypatch.setattr(schwarz, "_CHUNK", chunk)
+        rng = np.random.default_rng(sum(shape) * chunk)
+        m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        sizes = []
+        for re, im in schwarz._minor_chunks(m):
+            assert re.shape == im.shape == (re.size,)
+            sizes.append(re.size)
+        assert 0 < min(sizes) and max(sizes) <= chunk
+        assert sum(sizes) == minor_count(m)
+
+
 # Non-negative terms over the whole double range: zeros, subnormals, and
 # normals from the smallest to 1e300.
 term_lists = st.lists(

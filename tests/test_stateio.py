@@ -22,6 +22,7 @@ from qconc import (
     parse_state,
     sample_state,
 )
+from qconc.stateio import MAX_SAMPLE_AMPLITUDES
 
 BELL_TEXT = (
     '{"dims":[2,2],"amps":[[0.7071067811865476,0],[0,0],[0,0],'
@@ -202,6 +203,15 @@ class TestSamplerSpec:
             SamplerSpec((), "haar", 0)
         with pytest.raises(ValueError):
             SamplerSpec((0, 2), "haar", 0)
+
+    def test_amplitude_count_bound(self):
+        # Only the spec is built: refusing must not depend on drawing.
+        SamplerSpec((MAX_SAMPLE_AMPLITUDES,), "haar", 0)
+        SamplerSpec((2, MAX_SAMPLE_AMPLITUDES // 2), "product", 0)
+        with pytest.raises(ValueError, match="amplitudes"):
+            SamplerSpec((MAX_SAMPLE_AMPLITUDES + 1,), "basis", 0)
+        with pytest.raises(ValueError, match="amplitudes"):
+            SamplerSpec((2**20, 2**20), "haar", 0)
 
     def test_seed_range(self):
         SamplerSpec((2,), "haar", 0)
