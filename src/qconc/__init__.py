@@ -25,6 +25,7 @@ from .errors import (
     QconcError,
     ShapeError,
     StateFormatError,
+    WorkBudgetError,
 )
 from .oracle import DensityMatrix, numeric_rank, oracle_concurrence, purity, reduced_density
 from .schwarz import (
@@ -65,6 +66,7 @@ __all__ = [
     "ShapeError",
     "StateFile",
     "StateFormatError",
+    "WorkBudgetError",
     "amplitude",
     "bipartite_concurrence",
     "concurrence",

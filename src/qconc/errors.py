@@ -2,7 +2,8 @@
 
 The CLI maps these onto exit codes: domain verdict errors (ArityError,
 CertificateError) exit with 1, malformed input (ShapeError, NonFiniteError,
-StateFormatError, ValueError, IndexError) with 2.
+StateFormatError, ValueError, IndexError) and refused work (WorkBudgetError)
+with 2.
 """
 
 
@@ -36,3 +37,7 @@ class InternalConsistencyError(QconcError):
 
 class StateFormatError(QconcError, ValueError):
     """A state document could not be parsed."""
+
+
+class WorkBudgetError(QconcError):
+    """A computation would exceed its documented work budget."""

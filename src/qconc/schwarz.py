@@ -11,16 +11,13 @@ into a rows-by-rest coefficient matrix, and the squared moduli of all its 2x2
 minors measure how far the rows are from mutual parallelism, i.e. how far the
 cut is from being separable.
 
-Determinism contract: minors are evaluated in bounded chunks, per block of
-row pairs and by column offset, with elementwise real float64 arithmetic in
-the order of a scalar complex product, so for finite input every minor
-equals the scalar ``M[a,c] * M[b,d] - M[a,d] * M[b,c]`` bit for bit, and
-the minors of M.T equal those of M.  The sum of squared moduli is exactly
-rounded: every term is split exactly in two and accumulated per binary
-exponent, and one math.fsum over the exact per-exponent totals rounds once,
-so the result equals math.fsum over the terms bit for bit whatever the
-chunking or the order; the largest modulus does not depend on the order
-either.  enumerate_minors yields the minors in lexicographic order.
+Determinism contract: the kernel evaluates minors in bounded chunks, per
+block of row pairs and by column offset, in the order of a scalar complex
+product, so every minor equals ``M[a,c] * M[b,d] - M[a,d] * M[b,c]`` bit
+for bit and those of M.T equal those of M; the largest modulus does not
+depend on the order, and enumerate_minors yields lexicographic order.  The
+sum of squared minors takes the Gram route (minor_sum_sq), whose bits do
+not depend on BLAS or its threads.
 """
 
 from __future__ import annotations
@@ -28,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -36,34 +33,22 @@ import numpy as np
 from .errors import InternalConsistencyError, NonFiniteError, ShapeError
 from .states import Cut, PureState
 
-# Relative slack allowed before a negative floating-point Schwarz gap is
-# treated as a bug rather than rounding.
+# Relative slack before a negative float Schwarz gap counts as a bug.
 _GAP_CLAMP_REL = 1e-12
 
-# Minors per kernel chunk, and at most per step.  A call holds about twelve
-# float64 arrays of this length (about 0.75 MiB) whatever the matrix shape:
-# the gathered row-pair block, two step buffers and the chunk's output.
-# Smaller steps pay more per-call numpy overhead, larger ones fall out of
-# the CPU caches.
+# Minors per kernel chunk and at most per step: about 0.75 MiB of arrays
+# whatever the shape.  Smaller steps pay more numpy overhead per call,
+# larger ones fall out of the CPU caches.
 _CHUNK = 1 << 13
 
-# Exact summation.  A term's high part keeps the sign, the exponent and the
-# top 25 stored mantissa bits (_LOW_BITS cleared); its low part is the exact
-# remainder.  Within one biased exponent every high part is a multiple of one
-# quantum and below 2**26 of them, every low part a multiple of another and
-# below 2**27 of them, so the parts of up to _FLUSH_TERMS terms add to less
-# than 2**53 quanta: without rounding, in any order.  Exponent 2047 (inf,
-# NaN) keeps only its high part.
-_LOW_BITS = np.int64((1 << 27) - 1)
-_EXPONENTS = 2048
-_FLUSH_TERMS = 1 << 26
-_SAFE_EXPONENTS = _EXPONENTS - 64
+# Gram route: Veltkamp's splitter, slice products per tile, error bound.
+_SPLIT = float((1 << 27) + 1)
+_TILE = 1 << 17
+_BOUND = 2.0**-90
 
-# Candidates for the largest |minor| of a chunk: squared moduli within this
-# factor of the chunk's largest.  re*re + im*im is within a few ulps of
-# |minor|^2 while the largest is a normal number, and hypot within one ulp
-# of |minor|, so every minor outside the band has a smaller hypot than the
-# one at the top of the band.
+# Candidates for a chunk's largest |minor|: re*re + im*im within this factor
+# of the largest.  It is within a few ulps of |minor|^2 (while normal) and
+# hypot within one ulp of |minor|, so no minor outside the band wins.
 _BAND = 1.0 - 2.0**-40
 _TINY = float(np.finfo(np.float64).tiny)
 
@@ -72,8 +57,7 @@ class MinorTerm(NamedTuple):
     """One second-order minor of a matricization.
 
     row_pair and col_pair are 1-based positions (k_j < l_j, k < l); value is
-    the determinant M[k_j,k] * M[l_j,l] - M[k_j,l] * M[l_j,k] as evaluated
-    in double precision.
+    M[k_j,k] * M[l_j,l] - M[k_j,l] * M[l_j,k] in double precision.
     """
 
     row_pair: tuple[int, int]
@@ -87,8 +71,8 @@ class Matricization:
 
     Row r (1-based) fixes i_j = r; column c runs over the remaining
     subsystems' multi-indices in ascending subsystem order, row-major.
-    ``entries`` is a read-only (rows x cols) complex array, 0-based like any
-    numpy array; the 1-based semantic maps live in the helper methods.
+    ``entries`` is a read-only (rows x cols) complex array, 0-based; the
+    helper methods hold the 1-based maps.
     """
 
     cut: Cut
@@ -130,11 +114,10 @@ class Matricization:
 def schwarz_gap(x1, x2) -> float:
     """Schwarz gap ||x1||^2 ||x2||^2 - |<x1|x2>|^2, clamped to be >= 0.
 
-    Tiny negative floating-point results (within 1e-12 of zero relative to
-    ||x1||^2 ||x2||^2, or above minus the smallest normal double, where
-    underflow leaves only an absolute error bound) are clamped to 0;
-    anything more negative would violate Cauchy-Schwarz beyond rounding and
-    raises InternalConsistencyError.
+    Negative results within 1e-12 of ||x1||^2 ||x2||^2 (or, where that
+    underflows, above minus the smallest normal double) are clamped to 0;
+    anything below violates Cauchy-Schwarz beyond rounding and raises
+    InternalConsistencyError.
     """
     v1 = np.asarray(x1, dtype=np.complex128).reshape(-1)
     v2 = np.asarray(x2, dtype=np.complex128).reshape(-1)
@@ -158,16 +141,12 @@ def schwarz_gap(x1, x2) -> float:
 def gap_equals_minor_sum(x1, x2) -> tuple[float, float]:
     """Evaluate the Schwarz gap by both routes of the Lagrange identity.
 
-    Returns (gap, minor_sum) where minor_sum is
-    sum_{a<b} |x1_a x2_b - x1_b x2_a|^2, i.e. the squared-minor total of the
-    two-row matrix [x1; x2].  The two agree within 1e-10 of the scale
-    ||x1||^2 ||x2||^2; the gap route cancels catastrophically for
-    near-parallel vectors while the minor route never does.
+    Returns (gap, minor_sum): schwarz_gap(x1, x2) and minor_sum_sq of the
+    two-row matrix [x1; x2].  They agree within 1e-10 of ||x1||^2 ||x2||^2;
+    the plain float gap cancels for near-parallel vectors, while
+    minor_sum_sq takes the same gap from an exact Gram matrix.
     """
-    v1 = np.asarray(x1, dtype=np.complex128).reshape(-1)
-    v2 = np.asarray(x2, dtype=np.complex128).reshape(-1)
-    gap = schwarz_gap(v1, v2)
-    return gap, minor_sum_sq(np.vstack([v1, v2]))
+    return schwarz_gap(x1, x2), minor_sum_sq(np.vstack([np.ravel(x1), np.ravel(x2)]))
 
 
 def matricize(state: PureState, cut: Cut) -> Matricization:
@@ -192,11 +171,8 @@ def matricize(state: PureState, cut: Cut) -> Matricization:
 
 
 def _pair_blocks(n: int, size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Index arrays (i, j) of the pairs i < j < n in lexicographic order.
-
-    The pairs come in blocks of ``size`` (the last block may be shorter),
-    so no more than ``size`` of the C(n, 2) pairs are built at once.
-    """
+    """Index arrays (i, j) of the pairs i < j < n, lexicographic, in blocks
+    of at most ``size`` pairs."""
     total = n * (n - 1) // 2
     for start in range(0, total, size):
         yield _pair_block(n, start, min(start + size, total))
@@ -204,12 +180,8 @@ def _pair_blocks(n: int, size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
 
 @lru_cache(maxsize=64)
 def _pair_block(n: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (i, j) of the pairs at flat positions start..stop-1.
-
-    Cached because the same blocks recur on every call with the same
-    shape; a block holds at most _CHUNK pairs, so the cache holds at most
-    64 * 16 bytes * _CHUNK (8 MiB).
-    """
+    """Read-only (i, j) of the pairs at flat positions start..stop-1, cached
+    as they recur per shape (at most 64 * 16 bytes * _CHUNK, 8 MiB)."""
     counts = np.arange(n - 1, 0, -1)
     first = np.cumsum(counts) - counts  # flat position of the pair (i, i+1)
     flat = np.arange(start, stop)
@@ -223,25 +195,15 @@ def _pair_block(n: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
 def _minor_chunks(entries: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield (re, im) chunks that together hold every minor exactly once.
 
-    re and im are 1-D arrays of at most _CHUNK minors, fresh for each
-    chunk.  The offset runs along the shorter axis: a wide matrix is read as
-    its transpose, whose minors are the same values bit for bit (p keeps
-    its operands, q swaps its two factors, and IEEE products and sums
-    commute, signed zeros included).  On the (rows, cols) matrix so
-    oriented, a block of row pairs (a, b) is gathered once, column-major,
-    with columns 0..cols-2 stored again after the last one.  The minor of
-    columns c and c + s is A[c] B[c+s] - A[c+s] B[c], whose operands for all
-    c at once are contiguous slices of the block; past the last column the
-    same slices reach columns (c + s - cols, c), a minor of offset cols - s
-    that is q - p.  So one step per offset s <= cols/2 covers the offsets s
-    and cols - s without a gather.  Each step forms both products as
-    re = xr*yr - xi*yi,  im = xr*yi + xi*yr  and subtracts them: CPython's
-    complex arithmetic step for step, one IEEE rounding per elementwise
-    operation (einsum/dot/matmul may fuse or reorder, so they are not
-    used), and every value equals the scalar complex expression bit for
-    bit.  Steps write into buffers allocated once per call and are packed
-    into chunks; a step longer than _CHUNK is split.  Minors come per
-    row-pair block and by offset, not in lexicographic order.
+    re and im are fresh 1-D arrays of at most _CHUNK minors.  A wide
+    matrix is read as its transpose (same minors bit for bit: IEEE products
+    and sums commute).  A block of row pairs is gathered once, column-major,
+    with columns 0..cols-2 again after the last.  The minors of columns c
+    and c + s, A[c] B[c+s] - A[c+s] B[c], come for all c from contiguous
+    slices; past the last column these reach columns (c + s - cols, c),
+    whose minor is q - p, so offsets s <= cols/2 cover all.  Each step is
+    CPython's complex arithmetic, one rounding per elementwise operation
+    (einsum/dot/matmul may fuse or reorder), into buffers reused per call.
     """
     if entries.shape[0] < entries.shape[1]:
         entries = entries.T
@@ -322,11 +284,10 @@ def enumerate_minors(mat) -> Iterator[MinorTerm]:
     """Stream all C(rows,2) * C(cols,2) second-order minors.
 
     Accepts a Matricization or any 2-D complex array of finite entries.
-    Terms come in deterministic lexicographic (row_pair, col_pair) order;
-    the stream is empty when rows < 2 or cols < 2.  Each row pair's minors
-    come from the kernel run on those two rows: it reads the 2 x cols
-    matrix as its transpose, one block of row pairs that are the column
-    pairs in order, at the single offset 1.
+    Terms come in lexicographic (row_pair, col_pair) order, none when
+    rows < 2 or cols < 2.  Each row pair's minors come from the kernel on
+    those two rows, read as the transpose: one block of row pairs that are
+    the column pairs in order, at offset 1.
     """
     entries = _as_entries(mat)
     nr, nc = entries.shape
@@ -347,64 +308,12 @@ def minor_count(mat) -> int:
     return (nr * (nr - 1) // 2) * (nc * (nc - 1) // 2)
 
 
-def _exact_sum(chunks: Iterable[np.ndarray]) -> float:
-    """math.fsum of the non-negative float64 terms in ``chunks``, bit for bit.
-
-    Each term is split exactly into a high and a low part (see _LOW_BITS),
-    and np.bincount adds the parts per biased binary exponent without
-    rounding; the per-exponent totals are set aside before any of them
-    could stop being exact.  One math.fsum over those few hundred exact
-    totals then rounds once, and a correctly rounded sum is unique.  A NaN
-    term gives NaN, else an infinite term gives inf; finite terms whose sum
-    overflows raise OverflowError.  A chunk holds at most _FLUSH_TERMS terms.
-    Only the bins up to the largest exponent present are filled and read.
-    """
-    bins = np.zeros((2, _EXPONENTS))  # high parts, low parts
-    top = 0  # bins from here up are zero
-    totals: list[float] = []
-    pending = 0
-    for terms in chunks:
-        terms = terms.ravel()
-        if pending + terms.size > _FLUSH_TERMS:
-            totals += _bin_totals(bins[:, :top])
-            bins[:, :top] = 0.0
-            top = pending = 0
-        bits = terms.view(np.int64)
-        exponent = bits >> 52
-        exponent &= _EXPONENTS - 1
-        part = (bits & ~_LOW_BITS).view(np.float64)
-        with np.errstate(invalid="ignore", over="ignore"):  # checked in _bin_totals
-            high = np.bincount(exponent, part)  # up to the largest exponent
-            width = high.size
-            bins[0, :width] += high
-            np.subtract(terms, part, out=part)  # high parts -> low parts
-            bins[1, :width] += np.bincount(exponent, part, width)
-        top = max(top, width)
-        pending += terms.size
-    return math.fsum(totals + _bin_totals(bins[:, :top]))
-
-
-def _bin_totals(bins: np.ndarray) -> list[float]:
-    """The nonzero exact totals of _exact_sum's bins 0..n-1, as Python floats.
-
-    Bins below _SAFE_EXPONENTS hold fewer than _FLUSH_TERMS terms under
-    2**961 each, so they cannot overflow and need no check.
-    """
-    if bins.shape[1] > _SAFE_EXPONENTS:
-        if bins.shape[1] == _EXPONENTS:
-            bins[1, -1] = 0.0  # inf - inf; the high part already carries inf/NaN
-        if not np.isfinite(bins[0, : _EXPONENTS - 1]).all():
-            raise OverflowError("intermediate overflow in fsum")
-    return bins[bins != 0].tolist()
-
-
 def _max_modulus(chunks: Iterable[tuple[np.ndarray, np.ndarray]]) -> float:
     """Largest hypot(re, im) over all chunks, equal to a full hypot scan.
 
     Per chunk, hypot runs only on the candidates in _BAND of the largest
-    re*re + im*im.  When that largest is zero, subnormal, inf (the squares
-    overflow though hypot does not) or NaN, the whole chunk is scanned; a
-    NaN part therefore still makes the result NaN.
+    re*re + im*im, or on the whole chunk when that is zero, subnormal, inf
+    or NaN (so a NaN part still gives NaN).
     """
     peaks = []
     for re, im in chunks:
@@ -423,20 +332,118 @@ def _max_modulus(chunks: Iterable[tuple[np.ndarray, np.ndarray]]) -> float:
 def minor_sum_sq(mat) -> float:
     """Sum of squared moduli of all second-order minors.
 
-    Each term is re*re + im*im of one minor, and the sum is exactly
-    rounded: it equals math.fsum over the terms bit for bit, whatever the
-    chunking.
+    By the Lagrange identity, the sum of the Schwarz gaps G_aa G_bb -
+    |G_ab|^2, a < b, of G = M M^H with M read along its shorter axis:
+    O(r^2 c) work.  G is exact slice products (_slices) summed in
+    double-double, Dekker's TwoProduct splits each gap's products, and
+    math.fsum rounds once.  G is off by at most K^2 2^-102 |x_a| |x_b|
+    (K <= 9 slices), a gap by 2^-92 G_aa G_bb, so the result is within
+    _BOUND ||M||_F^4 of the exact sum for M as given, plus its rounding.
+    No bit depends on BLAS, its threads or FMA.  Never negative: a sum
+    below -_BOUND ||M||_F^4 raises InternalConsistencyError.
     """
-    return _exact_sum(_squared_moduli(_minor_chunks(_as_entries(mat))))
+    entries = _as_entries(mat)
+    if entries.shape[0] > entries.shape[1]:
+        entries = entries.T
+    x = np.ascontiguousarray(entries).view(np.float64)
+    peak = np.maximum.reduce(np.abs(x), axis=1, initial=0.0)
+    nonzero = peak > 0.0  # zero rows have zero minors
+    if np.count_nonzero(nonzero) < 2:
+        return 0.0
+    e = np.frexp(peak[nonzero])[1]  # row a's parts < 2**e_a
+    top = sum(sorted(e.tolist())[-2:])
+    rho = 2 * e - top  # gap terms carry 2**(rho_a + rho_b)
+    d = np.zeros((2, len(e)))  # G_aa, high and low parts
+    total = math.fsum(chain.from_iterable(_gap_terms(*_slices(x[nonzero], e), rho, d)))
+    if total <= 0.0:
+        with np.errstate(over="ignore"):  # inf only clamps
+            trace = float(np.ldexp(d[0], rho).sum())
+        if total < -_BOUND * trace * trace:
+            raise InternalConsistencyError(f"minor sum {total} below its rounding bound")
+        return 0.0
+    try:
+        return math.ldexp(total, 2 * top)
+    except OverflowError:
+        return math.inf
 
 
-def _squared_moduli(chunks: Iterable[tuple[np.ndarray, np.ndarray]]) -> Iterator[np.ndarray]:
-    """re*re + im*im per chunk, computed in the kernel's fresh chunk arrays."""
-    for re, im in chunks:
-        np.multiply(re, re, out=re)
-        np.multiply(im, im, out=im)
-        np.add(re, im, out=re)
-        yield re
+def _slices(x: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, int]:
+    """Integer slices (z, beta) of the rows of x = [Re M | Im M], interleaved:
+    row a is sum_j z[a, j] 2**(e_a - beta (j + 1)), each part of z an
+    integer of at most beta bits.  beta <= (51 - log2 2c) / 2 keeps partial
+    sums of a level's (at most 13) slice products under 2**53 units, exact
+    in any order.  Slicing stops where rows are exact or at the cap: bits
+    below 2**-(110 + log2(2c) / 2) of a row's peak move a gap by under
+    2^-108 G_aa G_bb."""
+    width = (x.shape[1] - 1).bit_length()
+    beta = (51 - width) // 2
+    frac = np.ldexp(x, -e[:, None])
+    need = 53 - int(np.minimum.reduce(np.frexp(frac)[1], axis=None))
+    k = min(-(-need // beta), -(-(220 + width) // (2 * beta)))
+    z = np.ldexp(frac[:, None], beta * np.arange(1, k + 1)[:, None])
+    np.rint(z, out=z)
+    z[:, 1:] -= z[:, :-1] * 2.0**beta  # nearest on grid j less on grid j - 1
+    return z.view(np.complex128), beta
+
+
+def _gap_terms(z: np.ndarray, beta: int, rho: np.ndarray, d: np.ndarray) -> Iterator[list]:
+    """Yield the gaps' fsum terms per tile of rows a0..a1-1 by columns a0..,
+    as G_ba = conj(G_ab).  Matmuls form the slice products and their exact
+    sums per level i + j; TwoSum along the levels' running sum, finest
+    first, gives G in double-double.  Tiles run upwards, so d has each
+    G_bb.  One TwoProduct takes (G_aa, Re G_ab, Im G_ab) * (G_bb, -Re, -Im)."""
+    r, k, c = z.shape
+    weights = _level_weights(k, beta)
+    zc = z.conj()
+    step = max(1, _TILE // (k * k * r))
+    for a1 in range(r, 0, -step):
+        a0 = max(a1 - step, 0)
+        n, m = a1 - a0, r - a0
+        p = z[a0:a1].reshape(n * k, c) @ zc[a0:].reshape(m * k, c).T
+        p = p.reshape(n, k, m, k).transpose(1, 3, 0, 2).reshape(k * k, -1)
+        levels = weights @ p.view(np.float64)
+        acc = levels.copy()
+        for j in range(1, len(acc)):  # np.add.accumulate is slower
+            np.add(acc[j - 1], levels[j], out=acc[j])
+        s, a = acc[1:], acc[:-1]
+        bv = s - a
+        lo = a - (s - bv)
+        lo += levels[1:] - bv  # Knuth: acc + lo == previous acc + level
+        hi, lo = acc[-1], np.add.reduce(lo, axis=0)
+        d[0, a0:a1] = hi[:: 2 * m + 2]
+        d[1, a0:a1] = lo[:: 2 * m + 2]
+        w = np.empty((4, 3, n, m))  # x, y, lows
+        w[0::2, 0] = d[:, a0:a1, None]
+        w[1::2, 0] = d[:, None, a0:]
+        w[0, 1:] = hi.reshape(n, m, 2).transpose(2, 0, 1)
+        w[2, 1:] = lo.reshape(n, m, 2).transpose(2, 0, 1)
+        np.negative(w[0::2, 1:], out=w[1::2, 1:])
+        x, y, xl, yl = w
+        t = w[:2] * _SPLIT
+        h = t - (t - w[:2])
+        t = w[:2] - h  # Veltkamp: h + t == (x, y), 26-bit parts
+        p = x * y
+        err = h[0] * h[1] - p
+        err += h[0] * t[1]
+        err += t[0] * h[1]
+        err += t[0] * t[1]  # Dekker: p + err == x * y
+        err += x * yl
+        err += xl * y
+        low = np.add.reduce(err, axis=0)
+        upper = np.arange(m) > np.arange(n)[:, None]
+        ex = (rho[a0:a1, None] + rho[a0:])[upper]
+        yield np.ldexp(p[:, upper], ex).ravel().tolist() + np.ldexp(low[upper], ex).tolist()
+
+
+@lru_cache(maxsize=16)
+def _level_weights(k: int, beta: int) -> np.ndarray:
+    """Read-only; row t sums the slice products (i, j) of level
+    i + j = 2k - 2 - t, each times 2**-(beta (i + j + 2))."""
+    level = np.add.outer(np.arange(k), np.arange(k)).ravel()
+    rows = np.arange(2 * k - 2, -1, -1)[:, None]
+    weights = np.where(level == rows, np.ldexp(1.0, -beta * (rows + 2)), 0.0)
+    weights.flags.writeable = False
+    return weights
 
 
 def max_abs_minor(mat) -> float:

@@ -381,3 +381,30 @@ class TestCrossProcessDeterminism:
         )
         assert third.stdout == fourth.stdout
         assert json.loads(third.stdout)["value"] > 0.1
+
+
+class TestCertificateBudget:
+    def test_refused_before_allocating(self, capsys, monkeypatch):
+        # The state is built before measuring, so only the command's own
+        # allocations count; the refusal must come before the kernel's.
+        state = make_state([1024, 1024], np.ones(1 << 20))
+        monkeypatch.setattr("qconc.cli._read_state", lambda path: state)
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "separability", "--state", "big.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "minors" in err
+        assert peak < 1 << 20
+
+    def test_refused_from_a_state_file(self, capsys, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text(emit_state(make_state([256, 256], np.ones(1 << 16))), encoding="utf-8")
+        for command in (["separability"], ["factorize", "--cut", "1"], ["fullsep"]):
+            code, out, err = run_cli(capsys, *command, "--state", str(path))
+            assert code == 2 and out == "" and "budget" in err
+        code, out, _ = run_cli(capsys, "concurrence", "--state", str(path))
+        assert code == 0 and json.loads(out)["value"] == 0.0

@@ -1,6 +1,8 @@
 """Tests for concurrence values, separability certificates, and factorization."""
 
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +25,9 @@ from qconc import (
     SamplerSpec,
     tensor,
     tripartite_concurrence,
+    WorkBudgetError,
 )
+from qconc.concurrence import MAX_CERTIFICATE_MINORS
 
 from conftest import (
     apply_local_unitary,
@@ -420,3 +424,47 @@ class TestOracleAgreement:
         for seed in range(25):
             s = sample_state(SamplerSpec(dims, "haar", seed + 31))
             assert abs(concurrence(s).value - oracle_concurrence(s)) <= 1e-9
+
+
+class TestCertificateBudget:
+    """is_separable_cut refuses a scan above MAX_CERTIFICATE_MINORS before allocating."""
+
+    def test_budget_sits_above_benchmark_and_test_shapes(self):
+        # bipartite_haar's [32,32] and the [8,8,8] unfoldings are the largest.
+        assert math.comb(32, 2) ** 2 < MAX_CERTIFICATE_MINORS
+        assert math.comb(8, 2) * math.comb(64, 2) < MAX_CERTIFICATE_MINORS
+
+    def test_sampled_1024x1024_refused_without_allocating(self):
+        state = make_state([1024, 1024], np.ones(1 << 20))
+        tracemalloc.start()
+        try:
+            with pytest.raises(WorkBudgetError, match="minors"):
+                is_separable_cut(state, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        with pytest.raises(WorkBudgetError):
+            factorize_cut(state, 2)
+
+    def test_refusal_starts_just_above_the_budget(self, monkeypatch):
+        state = make_state([3, 4], np.arange(1, 13))  # 3 * 6 = 18 minors
+        # The package exports the function concurrence under the module's name.
+        concurrence_module = sys.modules["qconc.concurrence"]
+        monkeypatch.setattr(concurrence_module, "MAX_CERTIFICATE_MINORS", 18)
+        assert is_separable_cut(state, 1).max_abs_minor > 0.0
+        monkeypatch.setattr(concurrence_module, "MAX_CERTIFICATE_MINORS", 17)
+        with pytest.raises(WorkBudgetError):
+            is_separable_cut(state, 1)
+        with pytest.raises(IndexError):  # a bad cut is still an IndexError
+            is_separable_cut(state, 3)
+
+
+def test_no_concurrence_path_runs_the_quartic_kernel(monkeypatch):
+    def refuse(entries):
+        raise AssertionError("the minor kernel ran")
+
+    monkeypatch.setattr(sys.modules["qconc.schwarz"], "_minor_chunks", refuse)
+    for dims, seed in [((2, 2), 1), ((2, 2, 2), 2), ((3, 4), 3), ((8, 8, 8), 4)]:
+        s = sample_state(SamplerSpec(dims, "haar", seed))
+        assert concurrence(s).value ** 2 == pytest.approx(oracle_concurrence(s) ** 2, abs=1e-10)

@@ -1,7 +1,14 @@
 """Tests for Schwarz gaps, matricizations, and 2x2 minor enumeration."""
 
+import json
 import math
-from itertools import combinations
+import os
+import subprocess
+import sys
+import warnings
+from fractions import Fraction
+from itertools import combinations, product
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -397,13 +404,10 @@ def _assert_matches_reference(corpus):
     mismatches = []
     for name, m in corpus:
         ref = list(_scalar_minor_values(m))
-        ref_sum = math.fsum(v.real * v.real + v.imag * v.imag for *_, v in ref)
         ref_max = 0.0
         for *_, v in ref:
             if abs(v) > ref_max:
                 ref_max = abs(v)
-        if minor_sum_sq(m) != ref_sum:
-            mismatches.append(("minor_sum_sq", name))
         if max_abs_minor(m) != ref_max:
             mismatches.append(("max_abs_minor", name))
         got = [(t.row_pair, t.col_pair, _bits(t.value)) for t in enumerate_minors(m)]
@@ -478,7 +482,6 @@ class TestKernelOffsetLayout:
             monkeypatch.setattr(schwarz, "_CHUNK", chunk)
         corpus = DIFFERENTIAL_CORPUS if chunk is None else _small(DIFFERENTIAL_CORPUS)
         for name, m in corpus:
-            assert minor_sum_sq(m).hex() == minor_sum_sq(m.T).hex(), name
             assert max_abs_minor(m).hex() == max_abs_minor(m.T).hex(), name
 
     @pytest.mark.parametrize("chunk", [None, 100, 7, 1])
@@ -513,82 +516,26 @@ class TestKernelOffsetLayout:
         assert sum(sizes) == minor_count(m)
 
 
-# Non-negative terms over the whole double range: zeros, subnormals, and
-# normals from the smallest to 1e300.
-term_lists = st.lists(
-    st.one_of(
-        st.floats(0, 1e300),
-        st.floats(0, 1e-300),
-        st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1e300]),
-    ),
-    max_size=60,
-)
-
-
-def _chunked(terms, size):
-    return [np.array(terms[k : k + size], dtype=float) for k in range(0, len(terms), size)]
-
-
-class TestExactSum:
-    """The bucketed exact sum equals math.fsum over the same terms, bit for bit."""
-
-    # A flush after every 4 terms exercises the totals set aside mid-stream.
-    @settings(max_examples=150)
-    @given(term_lists, st.sampled_from([1, 3, 100]), st.sampled_from([4, 1 << 26]))
-    def test_matches_fsum(self, terms, size, flush):
-        with mock.patch.object(schwarz, "_FLUSH_TERMS", flush):
-            got = schwarz._exact_sum(_chunked(terms, min(size, flush)))
-        assert got.hex() == math.fsum(terms).hex()
-
-    @pytest.mark.parametrize(
-        "chunks",
-        [[], [np.array([])], [np.array([0.0])], [np.array([5e-324])], [np.array([1e300])]],
-        ids=["no-chunk", "empty-chunk", "zero", "subnormal", "single"],
-    )
-    def test_empty_and_single(self, chunks):
-        terms = [t for c in chunks for t in c.tolist()]
-        assert schwarz._exact_sum(chunks).hex() == math.fsum(terms).hex()
-
-    def test_every_exponent(self):
-        # Thousands of terms with every binary exponent from subnormal to 2**999.
-        rng = np.random.default_rng(31)
-        terms = np.ldexp(rng.random(20000), rng.integers(-1074, 1000, 20000))
-        want = math.fsum(terms.tolist()).hex()
-        for size in (1 << 13, 7):
-            assert schwarz._exact_sum(_chunked(terms.tolist(), size)).hex() == want
-
-    def test_non_finite_terms(self):
-        assert math.isnan(schwarz._exact_sum([np.array([1.0, np.inf]), np.array([np.nan])]))
-        assert schwarz._exact_sum([np.array([1.0]), np.array([np.inf, 2.0])]) == math.inf
-        with pytest.raises(OverflowError):
-            math.fsum([1.7e308, 1.7e308])
-        with pytest.raises(OverflowError):
-            schwarz._exact_sum([np.array([1.7e308]), np.array([1.7e308])])
-
-
 def _full_scan_reference(m):
-    """math.fsum of every |minor|^2 and the full np.hypot scan, at the default step."""
+    """The full np.hypot scan over every minor, at the default step."""
     parts = [(re.ravel(), im.ravel()) for *_, re, im in schwarz._minor_chunks(m)]
     re = np.concatenate([p[0] for p in parts] or [np.zeros(0)])
     im = np.concatenate([p[1] for p in parts] or [np.zeros(0)])
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = (re * re + im * im).tolist()
-        peak = float(np.max(np.hypot(re, im), initial=0.0))
-    return math.fsum(terms), peak
+        return float(np.max(np.hypot(re, im), initial=0.0))
 
 
 def _assert_reductions_match_full_scan(m):
-    want_sum, want_max = _full_scan_reference(m)
+    want_max = _full_scan_reference(m)
     for chunk in (100, 7, 1):
         with mock.patch.object(schwarz, "_CHUNK", chunk):
-            assert minor_sum_sq(m).hex() == want_sum.hex(), chunk
             assert max_abs_minor(m).hex() == want_max.hex(), chunk
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 class TestReductionsMatchFullScan:
-    """minor_sum_sq and max_abs_minor against fsum and a full hypot scan, bit for bit."""
+    """max_abs_minor against a full hypot scan, bit for bit."""
 
     # Entries from 1e-82 to 1e75 give terms from underflow and subnormals up
     # to about 1e300, mixed within one chunk.
@@ -645,3 +592,230 @@ class TestReductionsMatchFullScan:
         for k in (1, 2, len(re)):
             chunks = [(re[i : i + k], im[i : i + k]) for i in range(0, len(re), k)]
             assert schwarz._max_modulus(chunks).hex() == want.hex()
+
+
+def _exact_sum(m):
+    """(sum of squared minors, ||m||_F^2) of m exactly, as Fractions.
+
+    The entries are scaled to integers by one power of two, and the sum is
+    taken over the Schwarz gaps of the rows: sum_{a<b} G_aa G_bb - |G_ab|^2.
+    """
+    parts = [[z.real.as_integer_ratio() for z in row] + [z.imag.as_integer_ratio() for z in row]
+             for row in np.asarray(m, dtype=complex)]
+    den = max(d for row in parts for _, d in row)  # powers of two: a common multiple
+    rows = [[n * (den // d) for n, d in row] for row in parts]
+    c = len(rows[0]) // 2
+
+    def gram(a, b):
+        x, y = rows[a], rows[b]
+        re = sum(p * q for p, q in zip(x, y))
+        im = sum(x[c + j] * y[j] - x[j] * y[c + j] for j in range(c))
+        return re, im
+
+    diag = [gram(a, a)[0] for a in range(len(rows))]
+    total = 0
+    for a, b in combinations(range(len(rows)), 2):
+        re, im = gram(a, b)
+        total += diag[a] * diag[b] - re * re - im * im
+    return Fraction(total, den**4), Fraction(sum(diag), den**2)
+
+
+def _minor_route(m):
+    """math.fsum over the kernel's rounded minors: the route the sum used to take."""
+    return math.fsum(t.value.real**2 + t.value.imag**2 for t in enumerate_minors(m))
+
+
+def _slices_of(m):
+    x = np.ascontiguousarray(m, dtype=complex).view(float)
+    return schwarz._slices(x, np.frexp(np.abs(x).max(axis=1))[1])
+
+
+def _assert_within_bound(m):
+    # The documented bound: the final rounding plus _BOUND * ||M||_F^4.
+    got = minor_sum_sq(m)
+    exact, fro2 = _exact_sum(m)
+    assert got >= 0.0
+    assert abs(Fraction(got) - exact) <= exact / 2**52 + Fraction(schwarz._BOUND) * fro2**2
+    return got, exact
+
+
+def _gaussian(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _near_product(seed, delta, shape=(8, 8)):
+    """The matrix of the normalized rank-2 state u (x) v + delta u' (x) v'."""
+    rng = np.random.default_rng(seed)
+    u, u2 = _gaussian(rng, shape[0]), _gaussian(rng, shape[0])
+    v, v2 = _gaussian(rng, shape[1]), _gaussian(rng, shape[1])
+    m = np.outer(u, v) + delta * np.outer(u2, v2)
+    return m / np.linalg.norm(m)
+
+
+DELTAS = [1e-3, 1e-7, 1e-11, 1e-13]
+
+
+class TestMinorSumAccuracy:
+    """minor_sum_sq (the exact-Gram route) against a fractions reference."""
+
+    def test_reference_is_the_sum_over_minors(self):
+        # The reference takes the Lagrange identity; check it against the
+        # squared minors themselves, in exact arithmetic.
+        rng = np.random.default_rng(11)
+        for shape in [(2, 2), (3, 4), (4, 3)]:
+            m = _gaussian(rng, *shape) * 10.0 ** rng.integers(-5, 5, shape)
+            f = [[(Fraction(z.real), Fraction(z.imag)) for z in row] for row in m]
+            total = Fraction(0)
+            for (a, b), (c, d) in product(combinations(range(shape[0]), 2), combinations(range(shape[1]), 2)):
+                (p, q), (r, s) = f[a][c], f[b][d]
+                (t, u), (v, w) = f[a][d], f[b][c]
+                total += (p * r - q * s - t * v + u * w) ** 2 + (p * s + q * r - t * w - u * v) ** 2
+            assert _exact_sum(m)[0] == total
+
+    @pytest.mark.parametrize("delta", DELTAS)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_near_product_at_least_as_accurate_as_minor_route(self, delta, seed):
+        m = _near_product(seed, delta)
+        got, exact = _assert_within_bound(m)
+        gram_error = abs(Fraction(got) - exact) / exact
+        minor_error = abs(Fraction(_minor_route(m)) - exact) / exact
+        assert gram_error <= minor_error
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 5), (5, 3), (8, 8), (8, 64), (16, 16)])
+    def test_haar(self, shape):
+        # Far inside the bound: these come out correctly rounded.
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            m = _gaussian(rng, *shape)
+            got, exact = _assert_within_bound(m / np.linalg.norm(m))
+            assert got == float(exact)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_product_states_non_negative(self, seed):
+        rng = np.random.default_rng(seed)
+        u = _gaussian(rng, 4) * 10.0 ** rng.integers(-5, 6, 4)
+        m = np.outer(u, _gaussian(rng, 6))
+        _assert_within_bound(m)
+
+    def test_negative_beyond_bound_raises(self, monkeypatch):
+        # Seed 10 of this product state sums to slightly below zero; with a
+        # zero bound the clamp must refuse it rather than return it.
+        rng = np.random.default_rng(10)
+        m = np.outer(_gaussian(rng, 4), _gaussian(rng, 6))
+        assert minor_sum_sq(m) == 0.0
+        monkeypatch.setattr(schwarz, "_BOUND", 0.0)
+        with pytest.raises(InternalConsistencyError):
+            minor_sum_sq(m)
+
+    def test_rows_far_apart_in_magnitude(self):
+        rng = np.random.default_rng(5)
+        m = _gaussian(rng, 3, 7)
+        m[0] *= 1e150
+        m[1:] *= 1e-150
+        got, _ = _assert_within_bound(m)
+        assert 1e-3 < got < 1e3
+
+    def test_subnormal_entries(self):
+        rng = np.random.default_rng(6)
+        m = np.vstack([rng.integers(-1000, 1000, 9) * 5e-324 + 0j, _gaussian(rng, 9) * 1e300])
+        got, _ = _assert_within_bound(m)
+        assert got > 0.0
+
+    @pytest.mark.parametrize("power", [-600, -200, 200, 600])
+    def test_power_of_two_scaling_is_exact(self, power):
+        rng = np.random.default_rng(7)
+        m = _gaussian(rng, 4, 6)
+        want = minor_sum_sq(m)
+        with np.errstate(over="ignore", under="ignore"):
+            want = float(np.ldexp(want, 4 * power))
+        assert minor_sum_sq(np.ldexp(m.view(float), power).view(complex)).hex() == want.hex()
+
+    @pytest.mark.parametrize("tile", [1, 50, 500])
+    def test_tiles_give_the_same_bits(self, monkeypatch, tile):
+        # _TILE bounds the slice products per tile: 1 gives one row per tile.
+        rng = np.random.default_rng(12)
+        cases = [_gaussian(rng, 9, 13), _gaussian(rng, 8, 64), _near_product(1, 1e-9, (12, 12))]
+        cases[0][[2, 5]] = 0.0  # zero rows
+        want = [minor_sum_sq(m).hex() for m in cases]
+        monkeypatch.setattr(schwarz, "_TILE", tile)
+        assert [minor_sum_sq(m).hex() for m in cases] == want
+
+    def test_rank_one_rows_2000_binades_apart_warn_nothing(self):
+        # The sum is 0.0, and the clamp's bound overflows: that must not warn.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert minor_sum_sq(np.array([[1e300, 0.0], [1e-320, 0.0]])) == 0.0
+
+    def test_overflow_and_underflow(self):
+        rng = np.random.default_rng(8)
+        m = _gaussian(rng, 3, 3)
+        assert minor_sum_sq(m * 1e100) == math.inf
+        assert minor_sum_sq(m * 1e-100).hex() == (0.0).hex()
+
+    def test_row_spanning_300_decades_hits_the_slice_cap(self):
+        rng = np.random.default_rng(9)
+        m = np.vstack([10.0 ** -np.arange(0, 301, 20) * (1 + 1j), _gaussian(rng, 16)])
+        z, beta = _slices_of(m)
+        width = (2 * 16 - 1).bit_length()
+        assert z.shape[1] == -(-(220 + width) // (2 * beta))  # the cap, not the ~45 needed
+        _assert_within_bound(m)
+
+    def test_slice_products_are_exact(self):
+        # Columns spanning six decades, as in a weakly entangled unfolding.
+        rng = np.random.default_rng(10)
+        m = _gaussian(rng, 5, 40) * 10.0 ** rng.integers(-3, 3, 40)
+        z, beta = _slices_of(m)
+        assert beta == (51 - (2 * 40 - 1).bit_length()) // 2  # (51 - ceil(log2 2c)) / 2
+        parts = z.view(float)
+        assert (parts == np.rint(parts)).all() and np.abs(parts).max() <= 2**beta
+        # The slices rebuild every entry exactly (the rows need fewer than the cap).
+        e = np.frexp(np.abs(m.view(float)).max(axis=1))[1]
+        rebuilt = [[sum(Fraction(complex(z[a, j, col]).real) * Fraction(2) ** int(e[a] - beta * (j + 1))
+                        for j in range(z.shape[1])) for col in range(40)] for a in range(5)]
+        assert rebuilt == [[Fraction(x.real) for x in row] for row in m]
+        ints = [[[(int(w.real), int(w.imag)) for w in z[:, j, :][a]] for a in range(5)]
+                for j in range(z.shape[1])]
+        for i, j in product(range(z.shape[1]), repeat=2):
+            got = z[:, i] @ z[:, j].conj().T
+            for a, b in product(range(5), repeat=2):
+                re = sum(p * r + q * s for (p, q), (r, s) in zip(ints[i][a], ints[j][b]))
+                im = sum(q * r - p * s for (p, q), (r, s) in zip(ints[i][a], ints[j][b]))
+                assert (got[a, b].real, got[a, b].imag) == (re, im)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 7))
+    def test_never_negative(self, seed, nr, nc):
+        rng = np.random.default_rng(seed)
+        u = _gaussian(rng, nr) * 10.0 ** rng.integers(-150, 150, nr)
+        m = np.outer(u, _gaussian(rng, nc))
+        m[rng.random((nr, nc)) < 0.1] *= 1 + 1e-12
+        assert minor_sum_sq(m) >= 0.0
+
+
+_THREAD_PROBE = """
+import json, sys
+import numpy as np
+from qconc import make_state, matricize, minor_sum_sq
+rng = np.random.default_rng(4)
+def gaussian(*shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+cases = [gaussian(64, 64), gaussian(128, 128),
+         matricize(make_state([8, 8, 8], gaussian(512)), 1).entries]
+for delta in {deltas}:
+    u, v, u2, v2 = gaussian(8), gaussian(8), gaussian(8), gaussian(8)
+    cases.append(np.outer(u, v) + delta * np.outer(u2, v2))
+print(json.dumps([minor_sum_sq(m).hex() for m in cases]))
+"""
+
+
+def test_bits_do_not_depend_on_blas_threads():
+    src = str(Path(schwarz.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        run = subprocess.run([sys.executable, "-c", _THREAD_PROBE.format(deltas=DELTAS)],
+                             env=env, capture_output=True, text=True, timeout=120, check=True)
+        outputs.append(json.loads(run.stdout))
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0]) == 3 + len(DELTAS)
