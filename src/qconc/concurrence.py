@@ -28,9 +28,9 @@ from .states import Cut, PureState, normalize, peak_scaled
 DEFAULT_NORMALIZATION = 4.0
 DEFAULT_TOLERANCE = 1e-9
 
-# Most minors a certificate scans, about 20 s of the kernel at 5e7 minors/s.
-# The largest benchmark cut, [32,32], has 2.5e5; a [32,32,32] cut 2.6e8; a
-# [256,256] state's 1.07e9 and a [1024,1024] state's 2.7e11 are refused.
+# Most minors of a certificate's cut, all counted (product cuts prune none):
+# about 20 s of the kernel at 5e7 minors/s.  The largest benchmark cut, [32,32],
+# has 2.5e5; a [32,32,32] cut 2.6e8; [256,256] (1.07e9) and up are refused.
 MAX_CERTIFICATE_MINORS = 10**9
 
 
@@ -172,15 +172,25 @@ def _rank_one_factors(mat: Matricization) -> tuple[PureState, PureState]:
     )
 
 
+def _check_budget(state: PureState, cut: Cut) -> None:
+    """WorkBudgetError if the cut has more than MAX_CERTIFICATE_MINORS minors."""
+    rows = state.dims[cut - 1] if 1 <= cut <= state.subsystem_count else 1
+    minors = math.comb(rows, 2) * math.comb(state.size // rows, 2)
+    if minors > MAX_CERTIFICATE_MINORS:
+        raise WorkBudgetError(
+            f"cut {cut} has {minors} minors, above the budget of {MAX_CERTIFICATE_MINORS}"
+        )
+
+
 def is_separable_cut(
     state: PureState, cut: Cut, tolerance: float = DEFAULT_TOLERANCE
 ) -> SeparabilityCertificate:
     """Certify whether ``state`` factors across the given one-vs-rest cut.
 
-    All 2x2 minors of the cut's matricization are scanned, unless there
-    are more than MAX_CERTIFICATE_MINORS (WorkBudgetError, before anything
-    is allocated); the cut is separable iff the largest |minor| is at most
-    tolerance * (peak |amp|)^2.
+    Separable iff the largest |minor| of the cut's matricization, from the
+    row pairs whose bound can reach it (max_abs_minor), is at most
+    tolerance * (peak |amp|)^2.  Over MAX_CERTIFICATE_MINORS minors in all,
+    WorkBudgetError before anything is allocated.
     Minors scale quadratically in the amplitudes, so the verdict does not
     depend on the input's normalization: it is decided on the peak_scaled
     amplitudes, which no magnitude overflows or underflows, and the
@@ -192,12 +202,7 @@ def is_separable_cut(
         raise ValueError(f"tolerance must be positive, got {tolerance}")
     if state.subsystem_count < 2:
         raise ArityError("separability across a cut needs at least 2 subsystems")
-    rows = state.dims[cut - 1] if 1 <= cut <= state.subsystem_count else 1
-    minors = math.comb(rows, 2) * math.comb(state.size // rows, 2)
-    if minors > MAX_CERTIFICATE_MINORS:
-        raise WorkBudgetError(
-            f"cut {cut} has {minors} minors, above the budget of {MAX_CERTIFICATE_MINORS}"
-        )
+    _check_budget(state, cut)
     amps, e = peak_scaled(state)
     worst = max_abs_minor(matricize(PureState(state.dims, amps), cut))
     scale = float(np.max(np.abs(amps))) ** 2
@@ -246,8 +251,10 @@ def full_separability(
     separable one is factored off and the remainder is re-tested from
     scratch.  The state is fully separable iff this extracts one factor per
     subsystem.  For exact product states the greedy order does not affect
-    the verdict; it only fixes which certificates are reported.
+    the verdict; it only fixes which certificates are reported.  A first
+    cut over the work budget is refused before the state is normalized.
     """
+    _check_budget(state, 1)
     current = normalize(state)
     ids = list(range(1, state.subsystem_count + 1))
     factors: list[tuple[int, PureState]] = []

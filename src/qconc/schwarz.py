@@ -52,6 +52,9 @@ _BOUND = 2.0**-90
 _BAND = 1.0 - 2.0**-40
 _TINY = float(np.finfo(np.float64).tiny)
 
+# Most row pairs _bounded_pairs takes: 8 MiB of index arrays (1024 rows).
+_PRUNE_PAIRS = 1 << 19
+
 
 class MinorTerm(NamedTuple):
     """One second-order minor of a matricization.
@@ -170,14 +173,6 @@ def matricize(state: PureState, cut: Cut) -> Matricization:
     return Matricization(cut=cut, row_dim=state.dims[j], remainder_dims=rest, entries=entries)
 
 
-def _pair_blocks(n: int, size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Index arrays (i, j) of the pairs i < j < n, lexicographic, in blocks
-    of at most ``size`` pairs."""
-    total = n * (n - 1) // 2
-    for start in range(0, total, size):
-        yield _pair_block(n, start, min(start + size, total))
-
-
 @lru_cache(maxsize=64)
 def _pair_block(n: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (i, j) of the pairs at flat positions start..stop-1, cached
@@ -192,36 +187,39 @@ def _pair_block(n: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
     return i, j
 
 
-def _minor_chunks(entries: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield (re, im) chunks that together hold every minor exactly once.
+def _minor_chunks(entries: np.ndarray, pairs=None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield (re, im) chunks holding each minor of row pairs (a, b) = pairs (or all) once.
 
     re and im are fresh 1-D arrays of at most _CHUNK minors.  A wide
     matrix is read as its transpose (same minors bit for bit: IEEE products
-    and sums commute).  A block of row pairs is gathered once, column-major,
-    with columns 0..cols-2 again after the last.  The minors of columns c
-    and c + s, A[c] B[c+s] - A[c+s] B[c], come for all c from contiguous
-    slices; past the last column these reach columns (c + s - cols, c),
-    whose minor is q - p, so offsets s <= cols/2 cover all.  Each step is
+    and sums commute), and ``pairs`` index its rows.  A block of row pairs
+    is gathered once, column-major, with columns 0..cols-2 again after the
+    last.  The minors of columns c and c + s, A[c] B[c+s] - A[c+s] B[c],
+    come for all c from contiguous slices; past the last column these
+    reach columns (c + s - cols, c), whose minor is q - p, so offsets
+    s <= cols/2 cover all.  Each step is
     CPython's complex arithmetic, one rounding per elementwise operation
     (einsum/dot/matmul may fuse or reorder), into buffers reused per call.
     """
     if entries.shape[0] < entries.shape[1]:
         entries = entries.T
     nr, nc = entries.shape
+    count = nr * (nr - 1) // 2 if pairs is None else pairs[0].size
     if nc < 2:
         return
     parts = np.empty((2, nc, nr))
     parts[0] = entries.real.T
     parts[1] = entries.imag.T
-    pairs = nr * (nr - 1) // 2
-    k = min(pairs, max(1, _CHUNK // nc))  # row pairs per block
+    k = min(count, max(1, _CHUNK // nc))  # row pairs per block
     span = min(nc, _CHUNK // k)  # columns per step
     scratch = np.empty((2, span * k))
     block_buf = np.empty(4 * (2 * nc - 1) * k)
-    remaining = pairs * (nc * (nc - 1) // 2)
+    remaining = count * (nc * (nc - 1) // 2)
     out = np.empty((2, 0))
     pos = 0
-    for a, b in _pair_blocks(nr, k):
+    for start in range(0, count, k):
+        stop = min(start + k, count)
+        a, b = _pair_block(nr, start, stop) if pairs is None else (p[start:stop] for p in pairs)
         kk = a.size
         block = block_buf[: 4 * (2 * nc - 1) * kk].reshape(4, 2 * nc - 1, kk)
         block[:2, :nc] = parts.take(a, axis=2)
@@ -449,6 +447,61 @@ def _level_weights(k: int, beta: int) -> np.ndarray:
 def max_abs_minor(mat) -> float:
     """Largest |minor|; 0.0 for degenerate shapes, NaN if any minor is NaN.
 
-    |minor| is libm hypot(re, im), the function behind abs(complex).
+    |minor| is libm hypot(re, im), the function behind abs(complex).  Only
+    the row pairs _bounded_pairs keeps are scanned, with the full scan's bits.
     """
-    return _max_modulus(_minor_chunks(_as_entries(mat)))
+    entries = _as_entries(mat)
+    return _max_modulus(_minor_chunks(entries, _bounded_pairs(entries)))
+
+
+def _bounded_pairs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Row pairs (a, b), lexicographic, of x read tall as the kernel reads
+    it that can hold the largest |minor|; None for all pairs.
+
+    With p1 >= p2 the two largest |x[a, :]| and q1 >= q2 those of row b, no
+    minor of the pair exceeds min(q1 (p1 + p2), p1 (q1 + q2)) or hypot(p1,
+    p2) hypot(q1, q2) (Hadamard).  L is |minor| of the seemingly largest
+    minor of the 12 rows of largest p1 + p2 at their two peak columns,
+    evaluated as the kernel does.  Pairs whose bound is at least
+    L (1 - 2**-40)**2 are kept: the slack covers the ulps by which a bound,
+    minor or hypot strays, _TINY added to every |x| covers hypot on
+    subnormals, and a bound that overflow may reach is above any finite L.
+    All pairs are scanned if L is not finite or below 2**-1000 (subnormal
+    rounding is absolute), if no bound is below L (each is at least p1 q1:
+    product-like cuts), beyond _PRUNE_PAIRS pairs, or up to _CHUNK minors
+    (the bounds cost what the kernel does).
+    """
+    x = x.T if x.shape[0] < x.shape[1] else x
+    nr, nc = x.shape
+    total = nr * (nr - 1) // 2
+    if total * (nc * (nc - 1) // 2) <= _CHUNK or total > _PRUNE_PAIRS:
+        return None
+    mod = np.abs(x)
+    mod += _TINY
+    p2, p1 = np.sort(mod, axis=1)[:, -2:].T
+    s = p1 + p2
+    rows = np.argsort(s)[-12:]
+    cols = np.argsort(mod[rows], axis=1)[:, -2:].ravel()
+    g = x[rows][:, cols].take(_seed_index(rows.size))  # ac, ad, bd, bc
+    ac, ad, bd, bc = g[:, np.abs(g[0] * g[2] - g[1] * g[3]).argmax()].tolist()
+    z = ac * bd - ad * bc  # as the kernel has it; numpy's product may fuse
+    low = math.hypot(z.real, z.imag) * _BAND * _BAND
+    if not 2.0**-1000 <= low < math.inf or low <= float(p1.min()) ** 2:
+        return None
+    a, b = (_pair_block if total <= _CHUNK else _pair_block.__wrapped__)(nr, 0, total)
+    h = np.hypot(p1, p2)
+    bound = np.minimum(s.take(a) * p1.take(b), p1.take(a) * s.take(b))
+    bound = np.minimum(bound, h.take(a) * h.take(b), out=bound)
+    keep = bound >= low
+    return None if keep.all() else (a[keep], b[keep])
+
+
+@lru_cache(maxsize=16)
+def _seed_index(r: int) -> np.ndarray:
+    """Read-only flat (4, n) index into r rows at their two peak columns each:
+    (i, u), (i, v), (j, v), (j, u) for rows i < j and u < v of their four."""
+    i, j = np.triu_indices(r, 1)
+    u, v = np.array([2 * i, 2 * i + 1, 2 * j, 2 * j + 1])[np.array(np.triu_indices(4, 1))]
+    index = (2 * r * np.array([i, i, j, j])[:, None] + np.array([u, v, v, u])).reshape(4, -1)
+    index.flags.writeable = False
+    return index

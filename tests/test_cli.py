@@ -400,6 +400,20 @@ class TestCertificateBudget:
         assert err.count("\n") == 1 and "minors" in err
         assert peak < 1 << 20
 
+    def test_fullsep_refused_before_allocating(self, capsys, monkeypatch):
+        state = make_state([1024, 1024], np.ones(1 << 20))
+        monkeypatch.setattr("qconc.cli._read_state", lambda path: state)
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "fullsep", "--state", "big.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "minors" in err
+        assert peak < 1 << 20
+
     def test_refused_from_a_state_file(self, capsys, tmp_path):
         path = tmp_path / "big.json"
         path.write_text(emit_state(make_state([256, 256], np.ones(1 << 16))), encoding="utf-8")

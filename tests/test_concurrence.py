@@ -468,3 +468,53 @@ def test_no_concurrence_path_runs_the_quartic_kernel(monkeypatch):
     for dims, seed in [((2, 2), 1), ((2, 2, 2), 2), ((3, 4), 3), ((8, 8, 8), 4)]:
         s = sample_state(SamplerSpec(dims, "haar", seed))
         assert concurrence(s).value ** 2 == pytest.approx(oracle_concurrence(s) ** 2, abs=1e-10)
+
+
+class TestFullSeparabilityBudget:
+    def test_refused_before_normalizing(self):
+        # The state is built first; only full_separability's own
+        # allocations count, and normalizing it would take about 16 MiB.
+        state = make_state([1024, 1024], np.ones(1 << 20))
+        tracemalloc.start()
+        try:
+            with pytest.raises(WorkBudgetError, match="minors"):
+                full_separability(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_single_subsystem_needs_no_budget(self):
+        result = full_separability(make_state([5], np.arange(1, 6)))
+        assert result.fully_separable and len(result.factors) == 1
+
+
+class TestOneScanPerCertificate:
+    """Each certificate calls the module-level max_abs_minor once; the
+    benchmark's traced span for the certificate scan wraps that name."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        module = sys.modules["qconc.concurrence"]
+        seen = []
+
+        def counting(mat):
+            seen.append(mat.entries.shape)
+            return max_abs_minor(mat)
+
+        monkeypatch.setattr(module, "max_abs_minor", counting)
+        return seen
+
+    def test_is_separable_cut_and_factorize_cut(self, calls):
+        s = sample_state(SamplerSpec((4, 6), "product", 3))
+        assert is_separable_cut(s, 2).separable
+        assert len(calls) == 1
+        factorize_cut(s, 1)
+        assert calls == [(6, 4), (4, 6)]
+
+    @pytest.mark.parametrize("kind, certificates", [("haar", 3), ("product", 2)])
+    def test_full_separability(self, calls, kind, certificates):
+        # Haar: three failed cuts.  Product: cut 1 of [8,8,8], then of [8,8].
+        result = full_separability(sample_state(SamplerSpec((8, 8, 8), kind, 5)))
+        assert len(calls) == certificates
+        assert len(result.failed) == (3 if kind == "haar" else 0)

@@ -30,6 +30,7 @@ from qconc import (
     schwarz_gap,
 )
 from qconc import schwarz
+from qconc.states import peak_scaled
 
 from conftest import bell_state, ghz_state, qutrit_pair, unfold_brute_force
 
@@ -819,3 +820,170 @@ def test_bits_do_not_depend_on_blas_threads():
         outputs.append(json.loads(run.stdout))
     assert outputs[0] == outputs[1]
     assert len(outputs[0]) == 3 + len(DELTAS)
+
+
+def _all_pairs_max(m):
+    """The unchanged all-pairs call: _max_modulus over every kernel chunk."""
+    return schwarz._max_modulus(schwarz._minor_chunks(schwarz._as_entries(m)))
+
+
+def _kron(*vectors):
+    out = np.ones(1, dtype=complex)
+    for v in vectors:
+        out = np.kron(out, v)
+    return out
+
+
+def _pruning_case(kind, seed, small):
+    """A matrix of the given kind; small ones (at most 8 x 8) suit the
+    one-minor chunks, larger ones (up to 24 x 24) prune at the default."""
+    rng = np.random.default_rng(seed)
+    nr, nc = rng.integers(2, 9 if small else 25, 2)
+    m = _gaussian(rng, nr, nc)
+    if kind == "wide":  # entries from 1e-82 to 1e75, a fifth zero
+        m *= 10.0 ** rng.integers(-82, 76, (nr, nc))
+        m[rng.random((nr, nc)) < 0.2] = 0
+    elif kind == "zero-rows":
+        m[rng.random(nr) < 0.3] = 0
+    elif kind == "integer-ties":
+        m = rng.integers(-2, 3, (nr, nc)) + 1j * rng.integers(-2, 3, (nr, nc))
+    elif kind == "block-ties":  # np.kron(np.eye(k), ...) with blocks of 1 or 2
+        k = int(rng.integers(2, 5 if small else 13))
+        m = np.kron(np.diag(rng.integers(1, 3, k)), np.ones((2, 2)))
+        m = m * np.exp(1j * rng.uniform(0, 7))
+    elif kind == "overflow":  # products overflow, minors are inf - inf = NaN
+        m *= 1e200
+    elif kind == "subnormal":  # subnormal rows against one row near 1e150
+        m *= 10.0 ** -rng.integers(310, 321, (nr, 1))
+        m[rng.integers(nr)] = _gaussian(rng, nc) * 1e150
+    elif kind == "tight":  # one entry per row: the bound is the minor
+        m = np.diag(_gaussian(rng, nr))[:, rng.integers(0, nr, nc)].T
+        m *= 10.0 ** -rng.uniform(0, 163)  # minors down to subnormal
+    elif kind == "haar":
+        dims = [[4, 4], [3, 5], [2, 3, 2]] if small else [[16, 16], [8, 24], [4, 4, 4]]
+        dims = dims[seed % 3]
+        m = matricize(make_state(dims, _gaussian(rng, math.prod(dims))), 1 + seed % 2).entries
+    else:  # product or near-product: rank one, or rank two at delta
+        n = (4, 4, 3) if small else (8, 8, 4)
+        amps = _kron(*(_gaussian(rng, d) for d in n))
+        if kind == "near-product":
+            amps = amps + 10.0 ** -rng.uniform(3, 13) * _kron(*(_gaussian(rng, d) for d in n))
+        m = amps.reshape(n[0], -1)
+    return m
+
+
+PRUNING_KINDS = ["wide", "zero-rows", "integer-ties", "block-ties", "overflow", "subnormal",
+                 "tight", "haar", "product", "near-product"]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+class TestPrunedMaxMatchesAllPairs:
+    """max_abs_minor, which evaluates only the row pairs whose bound can
+    still win, against the kernel on all row pairs, by float.hex."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from(PRUNING_KINDS), st.sampled_from([None, 100, 7, 1]),
+           st.integers(0, 2**32 - 1))
+    def test_equals_all_pairs(self, kind, chunk, seed):
+        m = _pruning_case(kind, seed, small=chunk is not None and chunk < 100)
+        with mock.patch.object(schwarz, "_CHUNK", chunk or schwarz._CHUNK):
+            assert max_abs_minor(m).hex() == _all_pairs_max(m).hex()
+
+    @pytest.mark.parametrize("kind", ["wide", "zero-rows", "integer-ties", "block-ties",
+                                      "subnormal", "tight", "haar"])
+    def test_kinds_are_pruned(self, kind):
+        # The differential above means something only where pairs are pruned.
+        pruned = 0
+        for seed in range(20):
+            m = np.asarray(_pruning_case(kind, seed, small=True), dtype=complex)
+            with mock.patch.object(schwarz, "_CHUNK", 7):
+                pruned += schwarz._bounded_pairs(m) is not None
+        assert pruned >= 5
+
+    @pytest.mark.parametrize("kind", ["overflow", "product"])
+    def test_kinds_that_scan_every_pair(self, kind):
+        for seed in range(5):
+            m = np.asarray(_pruning_case(kind, seed, small=False), dtype=complex)
+            assert schwarz._bounded_pairs(m) is None
+
+    def test_subnormal_moduli(self):
+        # |(6+4j) u| is 7.2 u but hypot rounds it to 7 u, below the true
+        # minor against the 1e300 row; without the added _TINY that pair's
+        # bound falls under L and every pair would be pruned.
+        u = 5e-324
+        m = np.array([[(6 + 4j) * u, 0], [0, 1e300], [(5 + 5j) * u, 0]])
+        with mock.patch.object(schwarz, "_CHUNK", 1):
+            assert schwarz._bounded_pairs(m) is not None
+            assert max_abs_minor(m).hex() == _all_pairs_max(m).hex()
+        assert max_abs_minor(m) == abs((6 + 4j) * u * 1e300)
+
+    def test_modulus_overflows_with_finite_parts(self, monkeypatch):
+        # The top rows' minor is about 1.5e308 (1 + 1j): hypot overflows to inf.
+        monkeypatch.setattr(schwarz, "_CHUNK", 1)
+        u = 1.456e154 * np.exp(1j * np.pi / 8)
+        m = np.array([[u, 0], [0, u], [1.0, 1.0]])
+        assert max_abs_minor(m) == math.inf == _all_pairs_max(m)
+
+    def test_subnormal_minors_scan_every_pair(self, monkeypatch):
+        # Minors near 1e-322 carry absolute rounding errors of whole units,
+        # far above the relative slack: below _FLOOR nothing is pruned.
+        monkeypatch.setattr(schwarz, "_CHUNK", 1)
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            nr, nc = rng.integers(3, 8, 2)
+            m = np.diag(_gaussian(rng, nr) * 10.0 ** -rng.uniform(160, 163))
+            m = m[:, rng.integers(0, nr, nc)]
+            assert max_abs_minor(m).hex() == _all_pairs_max(m).hex(), seed
+
+    @pytest.mark.parametrize("chunk", [None, 7, 1])
+    def test_kernel_on_explicit_pairs(self, monkeypatch, chunk):
+        # Every minor of the given row pairs once, of the wide matrix read tall.
+        if chunk is not None:
+            monkeypatch.setattr(schwarz, "_CHUNK", chunk)
+        m = _gaussian(np.random.default_rng(8), 4, 6)
+        a, b = np.array([0, 0, 2, 1]), np.array([5, 1, 3, 4])
+        got = sorted((x.hex(), y.hex()) for re, im in schwarz._minor_chunks(m, (a, b))
+                     for x, y in zip(re.tolist(), im.tolist()))
+        want = sorted(_bits(v) for i, j in zip(a, b)
+                      for *_, v in _scalar_minor_values(m.T[[i, j]]))
+        assert got == want
+
+
+def _evaluated(monkeypatch, m):
+    """(max_abs_minor(m), minors the kernel evaluated for it)."""
+    sizes = []
+    kernel = schwarz._minor_chunks
+
+    def counting(entries, pairs=None):
+        for re, im in kernel(entries, pairs):
+            sizes.append(re.size)
+            yield re, im
+
+    with monkeypatch.context() as patch:
+        patch.setattr(schwarz, "_minor_chunks", counting)
+        value = max_abs_minor(m)
+    return value, sum(sizes)
+
+
+class TestPruningWork:
+    """Where the certificate's work goes: a fraction of the minors on Haar
+    cuts, every minor on product cuts (the documented limit)."""
+
+    @pytest.mark.parametrize("dims", [(32, 32), (8, 64)])
+    def test_haar_cuts_evaluate_under_half(self, monkeypatch, dims):
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            state = make_state(list(dims), _gaussian(rng, math.prod(dims)))
+            amps, _ = peak_scaled(state)  # the cut as is_separable_cut sees it
+            for cut in (1, 2):
+                mat = matricize(make_state(list(dims), amps), cut)
+                value, evaluated = _evaluated(monkeypatch, mat)
+                assert value.hex() == _all_pairs_max(mat).hex()
+                assert evaluated < minor_count(mat) / 2, (seed, cut)
+
+    def test_product_cut_evaluates_every_minor(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        state = make_state([8, 8, 8], _kron(*(_gaussian(rng, 8) for _ in range(3))))
+        mat = matricize(make_state([8, 8, 8], peak_scaled(state)[0]), 1)
+        assert _evaluated(monkeypatch, mat)[1] == minor_count(mat)
