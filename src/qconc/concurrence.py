@@ -177,9 +177,8 @@ def _check_budget(state: PureState, cut: Cut) -> None:
     rows = state.dims[cut - 1] if 1 <= cut <= state.subsystem_count else 1
     minors = math.comb(rows, 2) * math.comb(state.size // rows, 2)
     if minors > MAX_CERTIFICATE_MINORS:
-        raise WorkBudgetError(
-            f"cut {cut} has {minors} minors, above the budget of {MAX_CERTIFICATE_MINORS}"
-        )
+        msg = f"cut {cut} has {minors} minors, above the budget of {MAX_CERTIFICATE_MINORS}"
+        raise WorkBudgetError(msg)
 
 
 def is_separable_cut(
@@ -251,10 +250,11 @@ def full_separability(
     separable one is factored off and the remainder is re-tested from
     scratch.  The state is fully separable iff this extracts one factor per
     subsystem.  For exact product states the greedy order does not affect
-    the verdict; it only fixes which certificates are reported.  A first
-    cut over the work budget is refused before the state is normalized.
+    the verdict; it only fixes which certificates are reported.  Cuts over
+    the work budget, checked on the input, are refused before normalizing.
     """
-    _check_budget(state, 1)
+    for cut in range(1, state.subsystem_count + 1):
+        _check_budget(state, cut)
     current = normalize(state)
     ids = list(range(1, state.subsystem_count + 1))
     factors: list[tuple[int, PureState]] = []

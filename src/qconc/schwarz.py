@@ -52,8 +52,7 @@ _BOUND = 2.0**-90
 _BAND = 1.0 - 2.0**-40
 _TINY = float(np.finfo(np.float64).tiny)
 
-# Most row pairs _bounded_pairs takes: 8 MiB of index arrays (1024 rows).
-_PRUNE_PAIRS = 1 << 19
+_PRUNE_PAIRS = 1 << 19  # most row pairs _bounded_pairs takes: 8 MiB of indices
 
 
 class MinorTerm(NamedTuple):
@@ -460,37 +459,38 @@ def _bounded_pairs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
 
     With p1 >= p2 the two largest |x[a, :]| and q1 >= q2 those of row b, no
     minor of the pair exceeds min(q1 (p1 + p2), p1 (q1 + q2)) or hypot(p1,
-    p2) hypot(q1, q2) (Hadamard).  L is |minor| of the seemingly largest
-    minor of the 12 rows of largest p1 + p2 at their two peak columns,
-    evaluated as the kernel does.  Pairs whose bound is at least
-    L (1 - 2**-40)**2 are kept: the slack covers the ulps by which a bound,
-    minor or hypot strays, _TINY added to every |x| covers hypot on
-    subnormals, and a bound that overflow may reach is above any finite L.
-    All pairs are scanned if L is not finite or below 2**-1000 (subnormal
-    rounding is absolute), if no bound is below L (each is at least p1 q1:
-    product-like cuts), beyond _PRUNE_PAIRS pairs, or up to _CHUNK minors
-    (the bounds cost what the kernel does).
+    p2) hypot(q1, q2) (Hadamard).  L is the kernel's largest |minor| of the
+    pair, of the 12 rows of largest p1 + p2, whose minor at their peak
+    columns seems largest.  Kept are the pairs with bound >= L (1 - 2**-40),
+    a slack for the ulps by which a bound or the kernel strays, with _TINY
+    added to every |x| for hypot on subnormals (an overflowed bound is kept).
+    None if L is not finite or below 2**-1000 (subnormal rounding is
+    absolute), if no bound can be below L (each is at least p1 q1), beyond
+    _PRUNE_PAIRS pairs, or up to _CHUNK minors (the bounds cost as much).
     """
     x = x.T if x.shape[0] < x.shape[1] else x
     nr, nc = x.shape
     total = nr * (nr - 1) // 2
     if total * (nc * (nc - 1) // 2) <= _CHUNK or total > _PRUNE_PAIRS:
         return None
-    mod = np.abs(x)
-    mod += _TINY
+    mod = np.abs(x) + _TINY
     p2, p1 = np.sort(mod, axis=1)[:, -2:].T
     s = p1 + p2
     rows = np.argsort(s)[-12:]
     cols = np.argsort(mod[rows], axis=1)[:, -2:].ravel()
-    g = x[rows][:, cols].take(_seed_index(rows.size))  # ac, ad, bd, bc
-    ac, ad, bd, bc = g[:, np.abs(g[0] * g[2] - g[1] * g[3]).argmax()].tolist()
-    z = ac * bd - ad * bc  # as the kernel has it; numpy's product may fuse
-    low = math.hypot(z.real, z.imag) * _BAND * _BAND
-    if not 2.0**-1000 <= low < math.inf or low <= float(p1.min()) ** 2:
+    index = _seed_index(rows.size)
+    g = x[rows][:, cols].take(index)  # ac, ad, bd, bc
+    seem = np.abs(g[0] * g[2] - g[1] * g[3])
+    least = float(p1.min())
+    if seem.max() <= least * least:  # no bound is below L
+        return None
+    seed = x[rows[index[::2, seem.argmax()] // (2 * rows.size)]]  # kernel reads it nc x 2
+    low = _max_modulus(_minor_chunks(seed)) * _BAND
+    if not 2.0**-1000 <= low < math.inf:
         return None
     a, b = (_pair_block if total <= _CHUNK else _pair_block.__wrapped__)(nr, 0, total)
-    h = np.hypot(p1, p2)
     bound = np.minimum(s.take(a) * p1.take(b), p1.take(a) * s.take(b))
+    h = np.hypot(p1, p2)
     bound = np.minimum(bound, h.take(a) * h.take(b), out=bound)
     keep = bound >= low
     return None if keep.all() else (a[keep], b[keep])

@@ -484,6 +484,17 @@ class TestFullSeparabilityBudget:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_later_cut_refused_before_any_certificate(self, monkeypatch):
+        # Cut 1 of [2, 180, 180] has 5.2e8 minors, within the budget; cut 2
+        # has 1.04e9, and is refused before cut 1 is scanned.
+        def scan(mat):
+            raise AssertionError("a certificate scanned a cut")
+
+        monkeypatch.setattr(sys.modules["qconc.concurrence"], "max_abs_minor", scan)
+        state = make_state([2, 180, 180], np.ones(2 * 180 * 180))
+        with pytest.raises(WorkBudgetError, match="cut 2 "):
+            full_separability(state)
+
     def test_single_subsystem_needs_no_budget(self):
         result = full_separability(make_state([5], np.arange(1, 6)))
         assert result.fully_separable and len(result.factors) == 1

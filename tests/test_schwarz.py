@@ -925,6 +925,15 @@ class TestPrunedMaxMatchesAllPairs:
         m = np.array([[u, 0], [0, u], [1.0, 1.0]])
         assert max_abs_minor(m) == math.inf == _all_pairs_max(m)
 
+    def test_peaks_whose_square_overflows(self):
+        # Every row peaks near 1.4e154 in column 0, so the least peak squared
+        # overflows while every minor stays finite; nothing can be pruned.
+        m = _gaussian(np.random.default_rng(5), 32, 32)
+        m[:, 0] = 1.4e154 * np.exp(1j * np.pi / 8)
+        assert schwarz._bounded_pairs(m) is None
+        assert max_abs_minor(m).hex() == _all_pairs_max(m).hex()
+        assert math.isfinite(max_abs_minor(m))
+
     def test_subnormal_minors_scan_every_pair(self, monkeypatch):
         # Minors near 1e-322 carry absolute rounding errors of whole units,
         # far above the relative slack: below _FLOOR nothing is pruned.
