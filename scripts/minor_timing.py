@@ -85,7 +85,7 @@ def main() -> int:
         sum_s, report = best_time(lambda: bipartite_concurrence(state), args.repeats)
         kernel, maximum = f"{'-':>9} {'-':>15}", f"{'-':>9} {'-':>13} {'-':>9}"
         if max(rows, cols) <= QUARTIC_LIMIT:
-            kernel_s, _ = best_time(lambda: drain(mat.entries), args.repeats)
+            kernel_s, _ = best_time(lambda: drain(mat), args.repeats)
             max_s, _ = best_time(lambda: max_abs_minor(mat), args.repeats)
             share = evaluated_by_max(mat) / minors
             kernel = f"{kernel_s:>9.4f} {minors / kernel_s:>15.3e}"

@@ -29,17 +29,13 @@ from .errors import (
 )
 from .oracle import DensityMatrix, numeric_rank, oracle_concurrence, purity, reduced_density
 from .schwarz import (
-    Matricization,
-    MinorTerm,
-    enumerate_minors,
     gap_equals_minor_sum,
     matricize,
     max_abs_minor,
-    minor_count,
     minor_sum_sq,
     schwarz_gap,
 )
-from .stateio import SAMPLER_KINDS, SamplerSpec, StateFile, emit_state, parse_state, sample_state
+from .stateio import SAMPLER_KINDS, SamplerSpec, emit_state, parse_state, sample_state
 from .states import Cut, PureState, amplitude, linear_index, make_state, normalize, tensor
 
 __version__ = "0.1.0"
@@ -55,8 +51,6 @@ __all__ = [
     "DensityMatrix",
     "FullSeparabilityResult",
     "InternalConsistencyError",
-    "Matricization",
-    "MinorTerm",
     "NonFiniteError",
     "PureState",
     "QconcError",
@@ -64,14 +58,12 @@ __all__ = [
     "SamplerSpec",
     "SeparabilityCertificate",
     "ShapeError",
-    "StateFile",
     "StateFormatError",
     "WorkBudgetError",
     "amplitude",
     "bipartite_concurrence",
     "concurrence",
     "emit_state",
-    "enumerate_minors",
     "factorize_cut",
     "full_separability",
     "gap_equals_minor_sum",
@@ -80,7 +72,6 @@ __all__ = [
     "make_state",
     "matricize",
     "max_abs_minor",
-    "minor_count",
     "minor_sum_sq",
     "normalize",
     "numeric_rank",

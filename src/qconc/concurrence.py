@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArityError, CertificateError, WorkBudgetError
-from .schwarz import Matricization, matricize, max_abs_minor, minor_sum_sq
+from .errors import ArityError, CertificateError, DegenerateStateError, WorkBudgetError
+from .schwarz import matricize, max_abs_minor, minor_sum_sq
 from .states import Cut, PureState, normalize, peak_scaled
 
 DEFAULT_NORMALIZATION = 4.0
@@ -150,8 +150,10 @@ def concurrence(
     raise ArityError(f"concurrence is defined for 2 or 3 subsystems, got {m}")
 
 
-def _rank_one_factors(mat: Matricization) -> tuple[PureState, PureState]:
-    """Rank-1 factors of a (near-)rank-1 matricization.
+def _rank_one_factors(
+    entries: np.ndarray, state: PureState, cut: Cut
+) -> tuple[PureState, PureState]:
+    """Rank-1 factors of a (near-)rank-1 matricization of ``state`` at ``cut``.
 
     The pivot is the entry of maximum modulus (stable even when the top-left
     entry vanishes); the row factor is the pivot column, the column factor is
@@ -159,7 +161,6 @@ def _rank_one_factors(mat: Matricization) -> tuple[PureState, PureState]:
     normalized state the outer product of the normalized factors reproduces
     the matrix without even a global phase.
     """
-    entries = mat.entries
     flat_pivot = int(np.argmax(np.abs(entries)))
     r, c = divmod(flat_pivot, entries.shape[1])
     u = entries[:, c]
@@ -167,8 +168,8 @@ def _rank_one_factors(mat: Matricization) -> tuple[PureState, PureState]:
     u = u / np.linalg.norm(u)
     v = v / np.linalg.norm(v)
     return (
-        PureState((mat.row_dim,), u),
-        PureState(mat.remainder_dims, v),
+        PureState((entries.shape[0],), u),
+        PureState(state.dims[: cut - 1] + state.dims[cut:], v),
     )
 
 
@@ -203,12 +204,16 @@ def is_separable_cut(
         raise ArityError("separability across a cut needs at least 2 subsystems")
     _check_budget(state, cut)
     amps, e = peak_scaled(state)
-    worst = max_abs_minor(matricize(PureState(state.dims, amps), cut))
+    entries = matricize(PureState(state.dims, amps), cut)
+    worst = max_abs_minor(entries)
     scale = float(np.max(np.abs(amps))) ** 2
     separable = worst <= tolerance * scale
     factors = None
     if separable:
-        factors = _rank_one_factors(matricize(normalize(state), cut))
+        nrm = float(np.linalg.norm(amps))  # as normalize(state) divides
+        if nrm == 0.0:
+            raise DegenerateStateError("cannot normalize the zero vector")
+        factors = _rank_one_factors(entries / nrm, state, cut)
     with np.errstate(over="ignore"):
         reported = float(np.ldexp(worst, 2 * e))
     return SeparabilityCertificate(

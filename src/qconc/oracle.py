@@ -88,10 +88,10 @@ def oracle_concurrence(state: PureState) -> float:
 def numeric_rank(mat, tolerance: float = 1e-9) -> int:
     """Singular values above tolerance * (largest singular value).
 
-    Accepts a Matricization or any 2-D array; rank 1 here is the spectral
-    counterpart of "all 2x2 minors vanish".
+    Accepts any 2-D array, such as a matricization; rank 1 here is the
+    spectral counterpart of "all 2x2 minors vanish".
     """
-    entries = np.asarray(getattr(mat, "entries", mat), dtype=np.complex128)
+    entries = np.asarray(mat, dtype=np.complex128)
     s = np.linalg.svd(entries, compute_uv=False)
     if s.size == 0 or s[0] <= 0.0:
         return 0

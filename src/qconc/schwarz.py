@@ -1,4 +1,4 @@
-"""Schwarz gaps, one-vs-rest matricizations, and 2x2 minor enumeration.
+"""Schwarz gaps, one-vs-rest matricizations, and the 2x2 minor kernel.
 
 The Cauchy-Schwarz inequality  |<x1|x2>|^2 <= ||x1||^2 ||x2||^2  holds with
 equality exactly when the two vectors are parallel, and the Lagrange identity
@@ -15,23 +15,21 @@ Determinism contract: the kernel evaluates minors in bounded chunks, per
 block of row pairs and by column offset, in the order of a scalar complex
 product, so every minor equals ``M[a,c] * M[b,d] - M[a,d] * M[b,c]`` bit
 for bit and those of M.T equal those of M; the largest modulus does not
-depend on the order, and enumerate_minors yields lexicographic order.  The
-sum of squared minors takes the Gram route (minor_sum_sq), whose bits do
-not depend on BLAS or its threads.
+depend on the order.  The sum of squared minors takes the Gram route
+(minor_sum_sq), whose bits do not depend on BLAS or its threads.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations
-from typing import Iterable, Iterator, NamedTuple
+from itertools import chain
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .errors import InternalConsistencyError, NonFiniteError, ShapeError
-from .states import Cut, PureState
+from .states import Cut, PureState, peak_scaled
 
 # Relative slack before a negative float Schwarz gap counts as a bug.
 _GAP_CLAMP_REL = 1e-12
@@ -55,71 +53,17 @@ _TINY = float(np.finfo(np.float64).tiny)
 _PRUNE_PAIRS = 1 << 19  # most row pairs _bounded_pairs takes: 8 MiB of indices
 
 
-class MinorTerm(NamedTuple):
-    """One second-order minor of a matricization.
-
-    row_pair and col_pair are 1-based positions (k_j < l_j, k < l); value is
-    M[k_j,k] * M[l_j,l] - M[k_j,l] * M[l_j,k] in double precision.
-    """
-
-    row_pair: tuple[int, int]
-    col_pair: tuple[int, int]
-    value: complex
-
-
-@dataclass(frozen=True, eq=False)
-class Matricization:
-    """2-D view of a state split along one cut (subsystem j vs. the rest).
-
-    Row r (1-based) fixes i_j = r; column c runs over the remaining
-    subsystems' multi-indices in ascending subsystem order, row-major.
-    ``entries`` is a read-only (rows x cols) complex array, 0-based; the
-    helper methods hold the 1-based maps.
-    """
-
-    cut: Cut
-    row_dim: int
-    remainder_dims: tuple[int, ...]
-    entries: np.ndarray
-
-    @property
-    def rows(self) -> int:
-        return self.row_dim
-
-    @property
-    def cols(self) -> int:
-        return math.prod(self.remainder_dims) if self.remainder_dims else 1
-
-    def column_multi_index(self, col: int) -> tuple[int, ...]:
-        """1-based column position -> 1-based multi-index over the remainder."""
-        if not 1 <= col <= self.cols:
-            raise IndexError(f"column {col} out of range 1..{self.cols}")
-        rest = []
-        c = col - 1
-        for n in reversed(self.remainder_dims):
-            rest.append(c % n + 1)
-            c //= n
-        return tuple(reversed(rest))
-
-    def column_of_multi_index(self, multi_index) -> int:
-        """Inverse of column_multi_index."""
-        if len(multi_index) != len(self.remainder_dims):
-            raise IndexError("multi-index does not match the remainder arity")
-        c = 0
-        for i, n in zip(multi_index, self.remainder_dims):
-            if not 1 <= i <= n:
-                raise IndexError(f"index {i} out of range 1..{n}")
-            c = c * n + (i - 1)
-        return c + 1
-
-
 def schwarz_gap(x1, x2) -> float:
     """Schwarz gap ||x1||^2 ||x2||^2 - |<x1|x2>|^2, clamped to be >= 0.
 
-    Negative results within 1e-12 of ||x1||^2 ||x2||^2 (or, where that
-    underflows, above minus the smallest normal double) are clamped to 0;
-    anything below violates Cauchy-Schwarz beyond rounding and raises
-    InternalConsistencyError.
+    Each vector is scaled by its own power of two, as states.peak_scaled
+    does, so no norm or inner product overflows or underflows to zero, and
+    the gap is scaled back (inf past the double range); where neither
+    computation overflows or underflows the bits are those of the plain
+    gap.  Negative results within 1e-12 of ||x1||^2 ||x2||^2 are clamped to
+    0; anything below violates Cauchy-Schwarz beyond rounding and raises
+    InternalConsistencyError.  NaN or infinite entries raise NonFiniteError
+    (from PureState).
     """
     v1 = np.asarray(x1, dtype=np.complex128).reshape(-1)
     v2 = np.asarray(x2, dtype=np.complex128).reshape(-1)
@@ -127,17 +71,21 @@ def schwarz_gap(x1, x2) -> float:
         raise ShapeError(f"vector lengths differ: {v1.size} vs {v2.size}")
     if v1.size == 0:
         raise ShapeError("vectors must have length >= 1")
+    (v1, e1), (v2, e2) = (peak_scaled(PureState((v.size,), v)) for v in (v1, v2))
     n1 = float(np.vdot(v1, v1).real)
     n2 = float(np.vdot(v2, v2).real)
     ip = complex(np.vdot(v1, v2))
     gap = n1 * n2 - (ip.real * ip.real + ip.imag * ip.imag)
     if gap < 0.0:
-        if gap >= -max(_GAP_CLAMP_REL * n1 * n2, _TINY):
+        if gap >= -_GAP_CLAMP_REL * n1 * n2:
             return 0.0
         raise InternalConsistencyError(
             f"Schwarz gap {gap} below the rounding floor for scale {n1 * n2}"
         )
-    return gap
+    try:
+        return math.ldexp(gap, 2 * (e1 + e2))
+    except OverflowError:
+        return math.inf
 
 
 def gap_equals_minor_sum(x1, x2) -> tuple[float, float]:
@@ -151,25 +99,21 @@ def gap_equals_minor_sum(x1, x2) -> tuple[float, float]:
     return schwarz_gap(x1, x2), minor_sum_sq(np.vstack([np.ravel(x1), np.ravel(x2)]))
 
 
-def matricize(state: PureState, cut: Cut) -> Matricization:
-    """Unfold a state along a cut: subsystem ``cut`` on rows, rest on columns.
+def matricize(state: PureState, cut: Cut) -> np.ndarray:
+    """Unfold a state along a cut: the read-only (rows x cols) complex array
+    with subsystem ``cut`` on rows and the rest on columns.
 
-    Columns keep the remaining subsystems in ascending subsystem order,
-    row-major, so entry (r, c) equals the amplitude with i_cut = r and the
-    remainder multi-index column_multi_index(c).
+    Entry (r, c), 0-based, is the amplitude with i_cut = r + 1 and the
+    remaining subsystems, in ascending order, at row-major position c.
     """
     m = state.subsystem_count
     if not 1 <= cut <= m:
         raise IndexError(f"cut {cut} out of range 1..{m}")
-    j = cut - 1
-    axes = [j] + [a for a in range(m) if a != j]
-    entries = (
-        state.amps.reshape(state.dims).transpose(axes).reshape(state.dims[j], -1)
-    )
-    entries = np.ascontiguousarray(entries)
+    rows = state.dims[cut - 1]
+    outer = state.amps.reshape(math.prod(state.dims[: cut - 1]), rows, -1)
+    entries = np.ascontiguousarray(outer.transpose(1, 0, 2).reshape(rows, -1))
     entries.flags.writeable = False
-    rest = tuple(d for a, d in enumerate(state.dims) if a != j)
-    return Matricization(cut=cut, row_dim=state.dims[j], remainder_dims=rest, entries=entries)
+    return entries
 
 
 @lru_cache(maxsize=64)
@@ -268,41 +212,12 @@ def _subtract_wrapped(p: np.ndarray, q: np.ndarray, w: int) -> None:
 
 
 def _as_entries(mat) -> np.ndarray:
-    entries = mat.entries if isinstance(mat, Matricization) else np.asarray(mat)
-    entries = np.asarray(entries, dtype=np.complex128)
+    entries = np.asarray(mat, dtype=np.complex128)
     if entries.ndim != 2:
         raise ShapeError(f"expected a 2-D matrix, got shape {entries.shape}")
     if not np.isfinite(entries).all():
         raise NonFiniteError("matrix entries must be finite")
     return entries
-
-
-def enumerate_minors(mat) -> Iterator[MinorTerm]:
-    """Stream all C(rows,2) * C(cols,2) second-order minors.
-
-    Accepts a Matricization or any 2-D complex array of finite entries.
-    Terms come in lexicographic (row_pair, col_pair) order, none when
-    rows < 2 or cols < 2.  Each row pair's minors come from the kernel on
-    those two rows, read as the transpose: one block of row pairs that are
-    the column pairs in order, at offset 1.
-    """
-    entries = _as_entries(mat)
-    nr, nc = entries.shape
-    col_pairs = list(combinations(range(1, nc + 1), 2))
-    for a, b in combinations(range(nr), 2):
-        values = (
-            complex(x, y)
-            for re, im in _minor_chunks(entries[[a, b]])
-            for x, y in zip(re.tolist(), im.tolist())
-        )
-        for col_pair, value in zip(col_pairs, values):
-            yield MinorTerm((a + 1, b + 1), col_pair, value)
-
-
-def minor_count(mat) -> int:
-    """Number of terms enumerate_minors will yield."""
-    nr, nc = _as_entries(mat).shape
-    return (nr * (nr - 1) // 2) * (nc * (nc - 1) // 2)
 
 
 def _max_modulus(chunks: Iterable[tuple[np.ndarray, np.ndarray]]) -> float:

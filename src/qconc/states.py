@@ -14,6 +14,7 @@ the measure-level operations normalize internally where they need to.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,11 +44,7 @@ class PureState:
     amps: np.ndarray
 
     def __post_init__(self) -> None:
-        dims = tuple(int(d) for d in self.dims)
-        if len(dims) == 0:
-            raise ShapeError("dims must be nonempty")
-        if any(d < 1 for d in dims):
-            raise ShapeError(f"dims must be positive, got {dims}")
+        dims = check_dims(self.dims)
         amps = np.array(self.amps, dtype=np.complex128).reshape(-1)
         if amps.size != math.prod(dims):
             raise ShapeError(
@@ -79,6 +76,20 @@ class PureState:
         return f"PureState(dims={self.dims}, size={self.size})"
 
 
+def check_dims(dims) -> tuple[int, ...]:
+    """dims as a nonempty tuple of positive ints (numpy integers pass);
+    ShapeError for anything else, including a non-integral float."""
+    try:
+        dims = tuple(map(operator.index, dims))
+    except TypeError:
+        raise ShapeError(f"dims must be integers, got {dims}") from None
+    if not dims:
+        raise ShapeError("dims must be nonempty")
+    if min(dims) < 1:
+        raise ShapeError(f"dims must be positive, got {dims}")
+    return dims
+
+
 def make_state(dims, amps) -> PureState:
     """Build a PureState from a dimension list and a flat amplitude list.
 
@@ -87,7 +98,8 @@ def make_state(dims, amps) -> PureState:
     Raises
     ------
     ShapeError
-        If len(amps) != prod(dims) or dims is empty/non-positive.
+        If len(amps) != prod(dims) or dims is empty, non-positive or not
+        integers.
     NonFiniteError
         If any amplitude is NaN or infinite.
     DegenerateStateError

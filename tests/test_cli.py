@@ -205,6 +205,20 @@ class TestSeparabilityCommand:
         assert code == 0
         assert json.loads(out)["certificates"][0]["separable"] is True
 
+    def test_more_subsystems_than_numpy_axes(self, capsys, tmp_path):
+        # A Bell pair on subsystems 1 and 65, with 63 trivial ones between.
+        path = tmp_path / "spread.json"
+        state = make_state([2] + [1] * 63 + [2], bell_state().amps)
+        path.write_text(emit_state(state), encoding="utf-8")
+        code, out, _ = run_cli(capsys, "separability", "--state", str(path), "--cut", "1")
+        assert code == 0
+        assert json.loads(out)["certificates"][0]["separable"] is False
+        code, out, _ = run_cli(capsys, "fullsep", "--state", str(path))
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["fully_separable"] is False
+        assert doc["remainder_subsystems"] == [1, 65]
+
 
 class TestFactorizeCommand:
     def test_entangled_input_exit_1(self, capsys, bell_file):

@@ -10,6 +10,8 @@ import pytest
 from qconc import (
     ArityError,
     CertificateError,
+    DegenerateStateError,
+    PureState,
     bipartite_concurrence,
     concurrence,
     factorize_cut,
@@ -27,7 +29,7 @@ from qconc import (
     tripartite_concurrence,
     WorkBudgetError,
 )
-from qconc.concurrence import MAX_CERTIFICATE_MINORS
+from qconc.concurrence import MAX_CERTIFICATE_MINORS, _rank_one_factors
 
 from conftest import (
     apply_local_unitary,
@@ -319,6 +321,31 @@ class TestFactorizeCut:
         with pytest.raises(CertificateError):
             factorize_cut(bell_state(), 1)
 
+    @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+    def test_factors_are_those_of_the_normalized_matricization(self, scale):
+        # The certificate divides its peak-scaled matricization by the norm;
+        # the factors must equal those of matricize(normalize(state), cut).
+        rng = np.random.default_rng(int(math.log10(scale)) + 200)
+        for dims in ([2, 2], [3, 5], [2, 3, 2, 2], [4, 4, 4], [5, 1, 7]):
+            parts = []
+            for n in dims:
+                v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                v[rng.random(n) < 0.3] = 0
+                v[0] += v[0] == 0  # keep the factor nonzero
+                parts.append(make_state([n], v))
+            state = make_state(dims, scale * tensor(*parts).amps)
+            for cut in range(1, len(dims) + 1):
+                want = _rank_one_factors(matricize(normalize(state), cut), state, cut)
+                got = is_separable_cut(state, cut).factors
+                for g, w in zip(got, want):
+                    assert g.dims == w.dims
+                    assert g.amps.tobytes() == w.amps.tobytes(), (dims, cut)
+
+    def test_all_zero_state_is_degenerate(self):
+        # Built directly, past make_state's check; every minor is 0.
+        with pytest.raises(DegenerateStateError):
+            is_separable_cut(PureState((2, 2), np.zeros(4)), 1)
+
     def test_second_cut_of_bipartite(self):
         state = tensor(make_state([3], [1, 1j, 0]), make_state([2], [0.8, 0.6]))
         u, v = factorize_cut(state, 2)
@@ -382,6 +409,14 @@ class TestFullSeparability:
         assert len(result.factors) == 1
         assert result.factors[0][0] == 1
         assert abs(result.factors[0][1].norm() - 1.0) <= 1e-12
+
+    def test_more_subsystems_than_numpy_axes(self):
+        # 65 subsystems: numpy arrays have at most 64 axes.
+        state = make_state([1] * 65, [1])
+        assert is_separable_cut(state, 33).separable
+        result = full_separability(state)
+        assert result.fully_separable
+        assert [idx for idx, _ in result.factors] == list(range(1, 66))
 
     def test_w_state_entangled(self):
         result = full_separability(w_state())
@@ -510,7 +545,7 @@ class TestOneScanPerCertificate:
         seen = []
 
         def counting(mat):
-            seen.append(mat.entries.shape)
+            seen.append(mat.shape)
             return max_abs_minor(mat)
 
         monkeypatch.setattr(module, "max_abs_minor", counting)

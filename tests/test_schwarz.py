@@ -1,4 +1,4 @@
-"""Tests for Schwarz gaps, matricizations, and 2x2 minor enumeration."""
+"""Tests for Schwarz gaps, matricizations, and the 2x2 minor kernel."""
 
 import json
 import math
@@ -20,12 +20,10 @@ from qconc import (
     InternalConsistencyError,
     NonFiniteError,
     ShapeError,
-    enumerate_minors,
     gap_equals_minor_sum,
     make_state,
     matricize,
     max_abs_minor,
-    minor_count,
     minor_sum_sq,
     schwarz_gap,
 )
@@ -83,6 +81,25 @@ class TestSchwarzGap:
         # carries an absolute underflow error of one subnormal ulp.
         assert schwarz_gap([6j, 0], [5.21765229e-161j, 0]) == 0.0
 
+    def test_huge_parallel_vectors_give_zero(self):
+        # Unscaled, n1 * n2 overflows to inf and inf - inf is NaN.
+        assert schwarz_gap([1e200], [1e200]) == 0.0
+        assert schwarz_gap([1e200, 0], [0, 1e200]) == math.inf
+
+    @pytest.mark.parametrize("x1, x2", [([np.nan], [1]), ([np.inf, 0], [0, 1]), ([1, 0], [0, -np.inf])])
+    def test_non_finite_raises(self, x1, x2):
+        with pytest.raises(NonFiniteError):
+            schwarz_gap(x1, x2)
+
+    @pytest.mark.parametrize("p1, p2", [(-600, 300), (500, -500), (-3, 0), (0, 0)])
+    def test_power_of_two_scaling_is_exact(self, p1, p2):
+        rng = np.random.default_rng(abs(p1 - p2))
+        x1, x2 = _gaussian(rng, 5), _gaussian(rng, 5)
+        want = math.ldexp(schwarz_gap(x1, x2), 2 * (p1 + p2))
+        got = schwarz_gap(np.ldexp(x1.view(float), p1).view(complex),
+                          np.ldexp(x2.view(float), p2).view(complex))
+        assert got.hex() == want.hex()
+
     def test_consistency_error_is_exported(self):
         # The > -1e-12*scale clamp is exercised above; the error class itself
         # must exist for callers that trap it.
@@ -125,9 +142,7 @@ class TestParallelismEquivalence:
 
     def _minor_sq_max(self, x1, x2):
         pair = np.vstack([x1, x2])
-        return max(
-            (abs(t.value) ** 2 for t in enumerate_minors(pair)), default=0.0
-        )
+        return max((abs(v) ** 2 for *_, v in _scalar_minor_values(pair)), default=0.0)
 
     # Multipliers whose components are signed powers of two: scaling by them
     # is exact in IEEE double, so the pairs are parallel in floating point,
@@ -161,20 +176,18 @@ class TestMatricize:
     def test_ghz_cut_1(self):
         mat = matricize(ghz_state(), 1)
         expected = [[SQ2, 0, 0, 0], [0, 0, 0, SQ2]]
-        np.testing.assert_allclose(mat.entries, expected)
-        assert mat.rows == 2
-        assert mat.cols == 4
-        assert mat.remainder_dims == (2, 2)
+        np.testing.assert_allclose(mat, expected)
+        assert mat.shape == (2, 4)
+        assert mat.dtype == np.complex128
 
     def test_bell_cut_1_is_diagonal(self):
         mat = matricize(bell_state(), 1)
-        np.testing.assert_allclose(mat.entries, [[SQ2, 0], [0, SQ2]])
+        np.testing.assert_allclose(mat, [[SQ2, 0], [0, SQ2]])
 
     def test_sequential_amps_cut_2(self):
         s = make_state([2, 3], [1, 2, 3, 4, 5, 6])
         mat = matricize(s, 2)
-        np.testing.assert_allclose(mat.entries, [[1, 4], [2, 5], [3, 6]])
-        assert mat.remainder_dims == (2,)
+        np.testing.assert_allclose(mat, [[1, 4], [2, 5], [3, 6]])
 
     def test_cut_out_of_range(self):
         s = make_state([2, 2], [1, 0, 0, 0])
@@ -192,111 +205,86 @@ class TestMatricize:
         s = make_state(dims, rng.standard_normal(size) + 1j * rng.standard_normal(size))
         for cut in range(1, len(dims) + 1):
             mat = matricize(s, cut)
-            np.testing.assert_array_equal(mat.entries, unfold_brute_force(s, cut))
-            assert mat.rows * mat.cols == s.size
+            np.testing.assert_array_equal(mat, unfold_brute_force(s, cut))
+            assert mat.size == s.size
 
     def test_entry_matches_amplitude_contract(self):
         s = make_state([2, 3, 2], np.arange(1, 13))
         mat = matricize(s, 2)
         from qconc import amplitude
 
-        for r in range(1, mat.rows + 1):
-            for c in range(1, mat.cols + 1):
-                rest = mat.column_multi_index(c)
-                idx = (rest[0], r, rest[1])
-                assert mat.entries[r - 1, c - 1] == amplitude(s, idx)
-
-    def test_column_index_round_trip(self):
-        mat = matricize(make_state([2, 3, 4], np.arange(1, 25)), 1)
-        for c in range(1, mat.cols + 1):
-            assert mat.column_of_multi_index(mat.column_multi_index(c)) == c
-        with pytest.raises(IndexError):
-            mat.column_multi_index(0)
-        with pytest.raises(IndexError):
-            mat.column_multi_index(mat.cols + 1)
-        with pytest.raises(IndexError):
-            mat.column_of_multi_index((1,))
+        # Columns run over the remaining subsystems (1 and 3), row-major.
+        for r in range(1, 3 + 1):
+            for c, (i1, i3) in enumerate(product(range(1, 3), range(1, 3))):
+                assert mat[r - 1, c] == amplitude(s, (i1, r, i3))
 
     def test_entries_are_read_only(self):
         mat = matricize(bell_state(), 1)
         with pytest.raises(ValueError):
-            mat.entries[0, 0] = 9.0
+            mat[0, 0] = 9.0
 
     def test_single_subsystem_has_one_column(self):
         mat = matricize(make_state([3], [1, 2, 3]), 1)
-        assert mat.rows == 3
-        assert mat.cols == 1
-        assert mat.remainder_dims == ()
+        assert mat.shape == (3, 1)
 
 
 class TestEnumerateMinors:
+    """Every minor of a matrix, as the kernel yields it: counts by math.comb,
+    values against the determinant definition."""
+
     def test_identity_2x2(self):
-        terms = list(enumerate_minors(np.eye(2)))
-        assert len(terms) == 1
-        assert terms[0].row_pair == (1, 2)
-        assert terms[0].col_pair == (1, 2)
-        assert terms[0].value == 1.0
+        assert _kernel_minor_bits(np.eye(2)) == [_bits(1.0 + 0j)]
 
     def test_2x4_has_six_terms(self):
         rng = np.random.default_rng(3)
         m = rng.standard_normal((2, 4))
-        assert len(list(enumerate_minors(m))) == 6
+        assert len(_kernel_minor_bits(m)) == 6
 
     def test_all_ones_3x3(self):
-        terms = list(enumerate_minors(np.ones((3, 3))))
-        assert len(terms) == 9
-        assert all(t.value == 0.0 for t in terms)
+        values = list(_scalar_minor_values(np.ones((3, 3))))
+        assert len(values) == 9
+        assert all(v == 0.0 for *_, v in values)
+        assert max_abs_minor(np.ones((3, 3))) == minor_sum_sq(np.ones((3, 3))) == 0.0
 
     @pytest.mark.parametrize("nr", range(1, 7))
     @pytest.mark.parametrize("nc", range(1, 7))
     def test_count_exhaustive(self, nr, nc):
         m = np.arange(nr * nc, dtype=float).reshape(nr, nc)
         expected = math.comb(nr, 2) * math.comb(nc, 2)
-        assert minor_count(m) == expected
-        assert len(list(enumerate_minors(m))) == expected
-
-    def test_lexicographic_order(self):
-        m = np.arange(12, dtype=float).reshape(3, 4)
-        keys = [(t.row_pair, t.col_pair) for t in enumerate_minors(m)]
-        expected = [
-            (rp, cp)
-            for rp in combinations(range(1, 4), 2)
-            for cp in combinations(range(1, 5), 2)
-        ]
-        assert keys == expected
+        assert len(_kernel_minor_bits(m)) == expected
+        assert len(list(_scalar_minor_values(m))) == expected
 
     def test_values_match_determinant_definition(self):
         rng = np.random.default_rng(11)
         m = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
-        for t in enumerate_minors(m):
-            kj, lj = t.row_pair
-            k, l = t.col_pair
-            recomputed = m[kj - 1, k - 1] * m[lj - 1, l - 1] - m[kj - 1, l - 1] * m[lj - 1, k - 1]
-            assert t.value == recomputed
+        want = [
+            _bits(m[a, c] * m[b, d] - m[a, d] * m[b, c])
+            for (a, b), (c, d) in product(combinations(range(4), 2), combinations(range(5), 2))
+        ]
+        assert _kernel_minor_bits(m) == sorted(want)
 
     def test_accepts_matricization(self):
-        terms = list(enumerate_minors(matricize(bell_state(), 1)))
-        assert len(terms) == 1
-        assert terms[0].value == pytest.approx(0.5)
+        mat = matricize(bell_state(), 1)
+        assert _kernel_minor_bits(mat) == [_bits(complex(SQ2 * SQ2))]
+        assert max_abs_minor(mat) == pytest.approx(0.5)
 
     def test_degenerate_shapes_empty(self):
-        assert list(enumerate_minors(np.ones((1, 5)))) == []
-        assert list(enumerate_minors(np.ones((5, 1)))) == []
-        assert minor_count(np.ones((1, 5))) == 0
+        for m in (np.ones((1, 5)), np.ones((5, 1))):
+            assert _kernel_minor_bits(m) == []
+            assert max_abs_minor(m) == minor_sum_sq(m) == 0.0
 
     def test_non_2d_raises(self):
-        with pytest.raises(ShapeError):
-            minor_count(np.ones(4))
+        for fn in (minor_sum_sq, max_abs_minor):
+            with pytest.raises(ShapeError):
+                fn(np.ones(4))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
     def test_non_finite_entries_rejected(self, bad):
         m = np.ones((3, 3), dtype=complex)
         m[1, 2] = bad
-        for fn in (minor_sum_sq, max_abs_minor, minor_count):
+        for fn in (minor_sum_sq, max_abs_minor):
             with pytest.raises(NonFiniteError):
                 fn(m)
-        with pytest.raises(NonFiniteError):
-            next(enumerate_minors(m))
 
 
 class TestMinorSumSq:
@@ -370,6 +358,11 @@ def _bits(z):
     return z.real.hex(), z.imag.hex()
 
 
+def _minor_count(m):
+    nr, nc = np.shape(m)
+    return math.comb(nr, 2) * math.comb(nc, 2)
+
+
 def _differential_corpus():
     """Seeded matrices: the named shapes, transposed views, rank 1, tiny, signed zeros."""
     rng = np.random.default_rng(20240917)
@@ -411,10 +404,8 @@ def _assert_matches_reference(corpus):
                 ref_max = abs(v)
         if max_abs_minor(m) != ref_max:
             mismatches.append(("max_abs_minor", name))
-        got = [(t.row_pair, t.col_pair, _bits(t.value)) for t in enumerate_minors(m)]
-        want = [((a + 1, b + 1), (c + 1, d + 1), _bits(v)) for a, b, c, d, v in ref]
-        if got != want:
-            mismatches.append(("enumerate_minors", name))
+        if _kernel_minor_bits(m) != sorted(_bits(v) for *_, v in ref):
+            mismatches.append(("kernel", name))
     assert mismatches == []
 
 
@@ -431,7 +422,7 @@ class TestKernelMatchesScalarReference:
     def test_corpus_bitwise_small_steps(self, monkeypatch, chunk):
         monkeypatch.setattr(schwarz, "_CHUNK", chunk)
         _assert_matches_reference(
-            [(name, m) for name, m in DIFFERENTIAL_CORPUS if minor_count(m) <= 1296]
+            [(name, m) for name, m in DIFFERENTIAL_CORPUS if _minor_count(m) <= 1296]
         )
 
     def test_corpus_covers_signed_zero_minors(self):
@@ -459,7 +450,7 @@ class TestKernelMatchesScalarReference:
 
 
 def _small(corpus):
-    return [(name, m) for name, m in corpus if minor_count(m) <= 1296]
+    return [(name, m) for name, m in corpus if _minor_count(m) <= 1296]
 
 
 _WIDE = ("gauss8x64#0", "zeros_t64x8#0")
@@ -514,7 +505,7 @@ class TestKernelOffsetLayout:
             assert re.shape == im.shape == (re.size,)
             sizes.append(re.size)
         assert 0 < min(sizes) and max(sizes) <= chunk
-        assert sum(sizes) == minor_count(m)
+        assert sum(sizes) == _minor_count(m)
 
 
 def _full_scan_reference(m):
@@ -622,8 +613,8 @@ def _exact_sum(m):
 
 
 def _minor_route(m):
-    """math.fsum over the kernel's rounded minors: the route the sum used to take."""
-    return math.fsum(t.value.real**2 + t.value.imag**2 for t in enumerate_minors(m))
+    """math.fsum over the rounded minors: the route the sum used to take."""
+    return math.fsum(v.real**2 + v.imag**2 for *_, v in _scalar_minor_values(m))
 
 
 def _slices_of(m):
@@ -801,7 +792,7 @@ rng = np.random.default_rng(4)
 def gaussian(*shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 cases = [gaussian(64, 64), gaussian(128, 128),
-         matricize(make_state([8, 8, 8], gaussian(512)), 1).entries]
+         matricize(make_state([8, 8, 8], gaussian(512)), 1)]
 for delta in {deltas}:
     u, v, u2, v2 = gaussian(8), gaussian(8), gaussian(8), gaussian(8)
     cases.append(np.outer(u, v) + delta * np.outer(u2, v2))
@@ -862,7 +853,7 @@ def _pruning_case(kind, seed, small):
     elif kind == "haar":
         dims = [[4, 4], [3, 5], [2, 3, 2]] if small else [[16, 16], [8, 24], [4, 4, 4]]
         dims = dims[seed % 3]
-        m = matricize(make_state(dims, _gaussian(rng, math.prod(dims))), 1 + seed % 2).entries
+        m = matricize(make_state(dims, _gaussian(rng, math.prod(dims))), 1 + seed % 2)
     else:  # product or near-product: rank one, or rank two at delta
         n = (4, 4, 3) if small else (8, 8, 4)
         amps = _kron(*(_gaussian(rng, d) for d in n))
@@ -989,10 +980,10 @@ class TestPruningWork:
                 mat = matricize(make_state(list(dims), amps), cut)
                 value, evaluated = _evaluated(monkeypatch, mat)
                 assert value.hex() == _all_pairs_max(mat).hex()
-                assert evaluated < minor_count(mat) / 2, (seed, cut)
+                assert evaluated < _minor_count(mat) / 2, (seed, cut)
 
     def test_product_cut_evaluates_every_minor(self, monkeypatch):
         rng = np.random.default_rng(3)
         state = make_state([8, 8, 8], _kron(*(_gaussian(rng, 8) for _ in range(3))))
         mat = matricize(make_state([8, 8, 8], peak_scaled(state)[0]), 1)
-        assert _evaluated(monkeypatch, mat)[1] == minor_count(mat)
+        assert _evaluated(monkeypatch, mat)[1] == _minor_count(mat)

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 from qconc import (
     DegenerateStateError,
+    NonFiniteError,
     SAMPLER_KINDS,
     SamplerSpec,
     ShapeError,
-    StateFile,
     StateFormatError,
     concurrence,
     emit_state,
@@ -64,10 +64,11 @@ class TestParseState:
         assert s.dims == (2,)
         np.testing.assert_array_equal(s.amps, [1, 0])
 
-    def test_label_round_trip(self):
-        doc = StateFile.from_text('{"dims":[2],"amps":[[1,0],[0,0]],"label":"ghz"}')
-        assert doc.label == "ghz"
-        assert '"label": "ghz"' in doc.to_text()
+    def test_label_validated_and_written(self):
+        # The label is written and checked on parsing, but not returned.
+        s = parse_state('{"dims":[2],"amps":[[1,0],[0,0]],"label":"ghz"}')
+        assert '"label": "ghz"' in emit_state(s, label="ghz")
+        assert '"label"' not in emit_state(s)
 
     def test_shape_error_on_length_mismatch(self):
         with pytest.raises(ShapeError):
@@ -108,10 +109,12 @@ class TestParseState:
             '{"dims":[2],"amps":[[1,0],[Infinity,0]]}',
             '{"dims":[2],"amps":[[1,0],[0,NaN]]}',
             '{"dims":[2],"amps":[[1,0],[-Infinity,0]]}',
+            '{"dims":[2],"amps":[[1,0],[1e400,0]]}',  # overflows to inf
+            '{"dims":[2],"amps":[[1,0],[0,0]],"note":NaN}',  # outside the amplitudes
         ],
     )
     def test_non_finite_rejected(self, text):
-        with pytest.raises(ValueError):
+        with pytest.raises(NonFiniteError):
             parse_state(text)
 
     def test_all_zero_amplitudes_rejected(self):
@@ -167,23 +170,6 @@ class TestEmitState:
         assert np.array_equal(again.amps, s.amps)
 
 
-class TestStateFile:
-    def test_from_state_preserves_everything(self):
-        s = make_state([2, 3], np.arange(1, 7) * (1 + 1j))
-        doc = StateFile.from_state(s, label="seq")
-        assert doc.dims == (2, 3)
-        assert doc.label == "seq"
-        np.testing.assert_array_equal(doc.to_state().amps, s.amps)
-
-    def test_non_finite_amps_rejected_in_memory(self):
-        with pytest.raises(ValueError):
-            StateFile((2,), np.array([1.0, np.inf]))
-
-    def test_bad_dims_rejected_in_memory(self):
-        with pytest.raises(StateFormatError):
-            StateFile((), np.array([1.0]))
-
-
 class TestSamplerSpec:
     def test_valid(self):
         spec = SamplerSpec((2, 3), "haar", 5)
@@ -203,6 +189,18 @@ class TestSamplerSpec:
             SamplerSpec((), "haar", 0)
         with pytest.raises(ValueError):
             SamplerSpec((0, 2), "haar", 0)
+
+    def test_non_integer_dims_and_seed_rejected(self):
+        # int() would truncate them to dims (2, 2) and seed 1.
+        with pytest.raises(ShapeError):
+            SamplerSpec((2.9, 2), "haar", 1)
+        with pytest.raises(ValueError, match="seed"):
+            SamplerSpec((2, 2), "haar", 1.7)
+
+    def test_numpy_integers_accepted(self):
+        spec = SamplerSpec((np.int64(2), np.uint8(3)), "haar", np.uint64(2**64 - 1))
+        assert spec.dims == (2, 3) and spec.seed == 2**64 - 1
+        assert all(type(v) is int for v in (*spec.dims, spec.seed))
 
     def test_amplitude_count_bound(self):
         # Only the spec is built: refusing must not depend on drawing.

@@ -55,6 +55,17 @@ class TestMakeState:
         with pytest.raises(ShapeError):
             make_state([2, -1], [1, 0])
 
+    def test_non_integer_dims_raise(self):
+        # int() would truncate [2.7, 2] to (2, 2).
+        with pytest.raises(ShapeError):
+            make_state([2.7, 2], [1, 0, 0, 1])
+        with pytest.raises(ShapeError):
+            make_state(["2", 2], [1, 0, 0, 1])
+
+    def test_numpy_integer_dims_accepted(self):
+        s = make_state(np.array([2, 2]), [1, 0, 0, 1])
+        assert s.dims == (2, 2) and all(type(d) is int for d in s.dims)
+
     def test_all_zero_raises(self):
         with pytest.raises(DegenerateStateError):
             make_state([2], [0, 0])
