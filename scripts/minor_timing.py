@@ -4,15 +4,15 @@
 The minor count is C(N,2) * C(M,2), i.e. quartic in the subsystem dimension
 for square [N, N] states.  After the square sweep comes one [8, 64] state,
 whose 8x64 matricization is the shape of every unfolding of an [8, 8, 8]
-state.  For each size it times bipartite_concurrence (the sum of squared
-minors, by the exact-Gram route: O(N^3)), and, up to N = 64, the bare
-quartic kernel (draining schwarz._minor_chunks on the cut-1 matricization)
-and max_abs_minor on the same matricization (the separability
-certificate's scan, which runs the kernel on the row pairs its bounds
-keep).  It prints the minor count, the best wall time of each, their
-throughput in minors per second (of all minors, also for the max), and
-the share of the minors the max evaluated, counted by wrapping the kernel
-in one extra, untimed call.
+state.  For each size it times concurrence (the sum of squared minors of
+the one cut, by the exact-Gram route: O(N^3)), and, up to N = 64, the
+bare quartic kernel (draining schwarz._minor_chunks on the cut-1
+matricization) and max_abs_minor on the same matricization (the
+separability certificate's scan, which runs the kernel on the row pairs
+its bounds keep).  It prints the minor count, the best wall time of each,
+their throughput in minors per second (of all minors, also for the max),
+and the share of the minors the max evaluated, counted by wrapping the
+kernel in one extra, untimed call.
 """
 
 import argparse
@@ -22,7 +22,7 @@ import time
 
 import numpy as np
 
-from qconc import bipartite_concurrence, make_state, matricize, max_abs_minor, schwarz
+from qconc import concurrence, make_state, matricize, max_abs_minor, schwarz
 from qconc.schwarz import _minor_chunks
 
 
@@ -82,7 +82,7 @@ def main() -> int:
         state = make_state([rows, cols], rng.standard_normal(size) + 1j * rng.standard_normal(size))
         mat = matricize(state, 1)
         minors = math.comb(rows, 2) * math.comb(cols, 2)
-        sum_s, report = best_time(lambda: bipartite_concurrence(state), args.repeats)
+        sum_s, report = best_time(lambda: concurrence(state), args.repeats)
         kernel, maximum = f"{'-':>9} {'-':>15}", f"{'-':>9} {'-':>13} {'-':>9}"
         if max(rows, cols) <= QUARTIC_LIMIT:
             kernel_s, _ = best_time(lambda: drain(mat), args.repeats)

@@ -9,12 +9,10 @@ from .concurrence import (
     ConcurrenceReport,
     FullSeparabilityResult,
     SeparabilityCertificate,
-    bipartite_concurrence,
     concurrence,
     factorize_cut,
     full_separability,
     is_separable_cut,
-    tripartite_concurrence,
 )
 from .errors import (
     ArityError,
@@ -28,13 +26,7 @@ from .errors import (
     WorkBudgetError,
 )
 from .oracle import DensityMatrix, numeric_rank, oracle_concurrence, purity, reduced_density
-from .schwarz import (
-    gap_equals_minor_sum,
-    matricize,
-    max_abs_minor,
-    minor_sum_sq,
-    schwarz_gap,
-)
+from .schwarz import matricize, max_abs_minor, minor_sum_sq, schwarz_gap
 from .stateio import SAMPLER_KINDS, SamplerSpec, emit_state, parse_state, sample_state
 from .states import Cut, PureState, amplitude, linear_index, make_state, normalize, tensor
 
@@ -61,12 +53,10 @@ __all__ = [
     "StateFormatError",
     "WorkBudgetError",
     "amplitude",
-    "bipartite_concurrence",
     "concurrence",
     "emit_state",
     "factorize_cut",
     "full_separability",
-    "gap_equals_minor_sum",
     "is_separable_cut",
     "linear_index",
     "make_state",
@@ -82,5 +72,4 @@ __all__ = [
     "sample_state",
     "schwarz_gap",
     "tensor",
-    "tripartite_concurrence",
 ]

@@ -85,69 +85,32 @@ class FullSeparabilityResult:
         return "fully separable" if self.fully_separable else "entangled at cut structure"
 
 
-def _check_normalization(normalization: float) -> float:
-    normalization = float(normalization)
-    if not normalization > 0.0:
-        raise ValueError(f"normalization must be positive, got {normalization}")
-    return normalization
-
-
-def bipartite_concurrence(
-    state: PureState, normalization: float = DEFAULT_NORMALIZATION
-) -> ConcurrenceReport:
-    """Concurrence of a pure two-part state.
-
-    The state is normalized internally, unfolded along cut 1 into its
-    N_1 x N_2 coefficient matrix, and the squared moduli of all 2x2 minors
-    are summed; value = sqrt(normalization * sum).
-    """
-    normalization = _check_normalization(normalization)
-    if state.subsystem_count != 2:
-        raise ArityError(
-            f"bipartite concurrence needs 2 subsystems, got {state.subsystem_count}"
-        )
-    s = minor_sum_sq(matricize(normalize(state), 1))
-    return ConcurrenceReport(
-        value=math.sqrt(normalization * s),
-        per_cut_sums=((1, s),),
-        normalization=normalization,
-    )
-
-
-def tripartite_concurrence(
-    state: PureState, normalization: float = DEFAULT_NORMALIZATION
-) -> ConcurrenceReport:
-    """Concurrence of a pure three-part state.
-
-    Sums the squared-minor totals of all three one-vs-rest matricizations;
-    value = sqrt(normalization * (S_1 + S_2 + S_3)).
-    """
-    normalization = _check_normalization(normalization)
-    if state.subsystem_count != 3:
-        raise ArityError(
-            f"tripartite concurrence needs 3 subsystems, got {state.subsystem_count}"
-        )
-    s = normalize(state)
-    cuts = (1, 2, 3)
-    sums = [minor_sum_sq(matricize(s, j)) for j in cuts]
-    total = math.fsum(sums)
-    return ConcurrenceReport(
-        value=math.sqrt(normalization * total),
-        per_cut_sums=tuple(zip(cuts, sums)),
-        normalization=normalization,
-    )
-
-
 def concurrence(
     state: PureState, normalization: float = DEFAULT_NORMALIZATION
 ) -> ConcurrenceReport:
-    """Dispatch to the bipartite or tripartite formula by subsystem count."""
+    """Concurrence of a pure two- or three-part state.
+
+    The state is normalized internally and unfolded along each of its cuts
+    (cut 1 for two subsystems, cuts 1, 2, 3 for three); the squared moduli
+    of all 2x2 minors of each unfolding are summed, and value =
+    sqrt(normalization * (S_1 + ...)).  Any other subsystem count is an
+    ArityError; a normalization that is not positive and finite is a
+    ValueError.
+    """
     m = state.subsystem_count
-    if m == 2:
-        return bipartite_concurrence(state, normalization)
-    if m == 3:
-        return tripartite_concurrence(state, normalization)
-    raise ArityError(f"concurrence is defined for 2 or 3 subsystems, got {m}")
+    if m not in (2, 3):
+        raise ArityError(f"concurrence is defined for 2 or 3 subsystems, got {m}")
+    normalization = float(normalization)
+    if not 0.0 < normalization < math.inf:
+        raise ValueError(f"normalization must be positive and finite, got {normalization}")
+    s = normalize(state)
+    cuts = (1,) if m == 2 else (1, 2, 3)
+    sums = [minor_sum_sq(matricize(s, j)) for j in cuts]
+    return ConcurrenceReport(
+        value=math.sqrt(normalization * math.fsum(sums)),
+        per_cut_sums=tuple(zip(cuts, sums)),
+        normalization=normalization,
+    )
 
 
 def _rank_one_factors(

@@ -29,10 +29,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import InternalConsistencyError, NonFiniteError, ShapeError
-from .states import Cut, PureState, peak_scaled
-
-# Relative slack before a negative float Schwarz gap counts as a bug.
-_GAP_CLAMP_REL = 1e-12
+from .states import Cut, PureState
 
 # Minors per kernel chunk and at most per step: about 0.75 MiB of arrays
 # whatever the shape.  Smaller steps pay more numpy overhead per call,
@@ -54,16 +51,12 @@ _PRUNE_PAIRS = 1 << 19  # most row pairs _bounded_pairs takes: 8 MiB of indices
 
 
 def schwarz_gap(x1, x2) -> float:
-    """Schwarz gap ||x1||^2 ||x2||^2 - |<x1|x2>|^2, clamped to be >= 0.
+    """Schwarz gap ||x1||^2 ||x2||^2 - |<x1|x2>|^2, never negative.
 
-    Each vector is scaled by its own power of two, as states.peak_scaled
-    does, so no norm or inner product overflows or underflows to zero, and
-    the gap is scaled back (inf past the double range); where neither
-    computation overflows or underflows the bits are those of the plain
-    gap.  Negative results within 1e-12 of ||x1||^2 ||x2||^2 are clamped to
-    0; anything below violates Cauchy-Schwarz beyond rounding and raises
-    InternalConsistencyError.  NaN or infinite entries raise NonFiniteError
-    (from PureState).
+    By the Lagrange identity, minor_sum_sq of the two-row matrix [x1; x2]:
+    the exact-Gram route, within _BOUND (||x1||^2 + ||x2||^2)^2 of the
+    exact gap plus one rounding, and inf past the double range.  NaN or
+    infinite entries raise NonFiniteError.
     """
     v1 = np.asarray(x1, dtype=np.complex128).reshape(-1)
     v2 = np.asarray(x2, dtype=np.complex128).reshape(-1)
@@ -71,32 +64,7 @@ def schwarz_gap(x1, x2) -> float:
         raise ShapeError(f"vector lengths differ: {v1.size} vs {v2.size}")
     if v1.size == 0:
         raise ShapeError("vectors must have length >= 1")
-    (v1, e1), (v2, e2) = (peak_scaled(PureState((v.size,), v)) for v in (v1, v2))
-    n1 = float(np.vdot(v1, v1).real)
-    n2 = float(np.vdot(v2, v2).real)
-    ip = complex(np.vdot(v1, v2))
-    gap = n1 * n2 - (ip.real * ip.real + ip.imag * ip.imag)
-    if gap < 0.0:
-        if gap >= -_GAP_CLAMP_REL * n1 * n2:
-            return 0.0
-        raise InternalConsistencyError(
-            f"Schwarz gap {gap} below the rounding floor for scale {n1 * n2}"
-        )
-    try:
-        return math.ldexp(gap, 2 * (e1 + e2))
-    except OverflowError:
-        return math.inf
-
-
-def gap_equals_minor_sum(x1, x2) -> tuple[float, float]:
-    """Evaluate the Schwarz gap by both routes of the Lagrange identity.
-
-    Returns (gap, minor_sum): schwarz_gap(x1, x2) and minor_sum_sq of the
-    two-row matrix [x1; x2].  They agree within 1e-10 of ||x1||^2 ||x2||^2;
-    the plain float gap cancels for near-parallel vectors, while
-    minor_sum_sq takes the same gap from an exact Gram matrix.
-    """
-    return schwarz_gap(x1, x2), minor_sum_sq(np.vstack([np.ravel(x1), np.ravel(x2)]))
+    return minor_sum_sq(np.vstack([v1, v2]))
 
 
 def matricize(state: PureState, cut: Cut) -> np.ndarray:

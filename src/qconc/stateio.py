@@ -95,7 +95,13 @@ def parse_state(text: str) -> PureState:
 
 
 def emit_state(state: PureState, label: str | None = None) -> str:
-    """Canonical serialization; parse_state(emit_state(s)) is bit-exact."""
+    """Canonical serialization; parse_state(emit_state(s)) is bit-exact.
+
+    A label that is neither a string nor None is a TypeError, as
+    parse_state would refuse the document.
+    """
+    if label is not None and not isinstance(label, str):
+        raise TypeError(f"label must be a string or None, got {type(label).__name__}")
     dims_part = "[" + ", ".join(str(d) for d in state.dims) + "]"
     amps_part = "[" + ", ".join(
         f"[{_fmt_float(z.real)}, {_fmt_float(z.imag)}]" for z in state.amps

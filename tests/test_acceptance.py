@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from qconc import (
-    bipartite_concurrence,
     concurrence,
     emit_state,
     is_separable_cut,
@@ -26,11 +25,10 @@ from qconc import (
     reduced_density,
     sample_state,
     SamplerSpec,
+    schwarz_gap,
     tensor,
-    tripartite_concurrence,
 )
 from qconc.cli import cli_main
-from qconc.schwarz import gap_equals_minor_sum
 
 from conftest import (
     apply_local_unitary,
@@ -56,13 +54,13 @@ def _random_dims(rng, lo, hi, count):
 def test_acceptance_1_golden_values():
     """Benchmark states hit their closed-form values within 1e-10 (N = 4)."""
     cases = [
-        ("Bell", bipartite_concurrence(bell_state()).value, 1.0),
-        ("qutrit pair", bipartite_concurrence(qutrit_pair()).value, math.sqrt(4 / 3)),
-        ("GHZ", tripartite_concurrence(ghz_state()).value, math.sqrt(3)),
-        ("W", tripartite_concurrence(w_state()).value, math.sqrt(8 / 3)),
+        ("Bell", concurrence(bell_state()).value, 1.0),
+        ("qutrit pair", concurrence(qutrit_pair()).value, math.sqrt(4 / 3)),
+        ("GHZ", concurrence(ghz_state()).value, math.sqrt(3)),
+        ("W", concurrence(w_state()).value, math.sqrt(8 / 3)),
         (
             "|1> x Bell",
-            tripartite_concurrence(tensor(ket([2], [1]), bell_state())).value,
+            concurrence(tensor(ket([2], [1]), bell_state())).value,
             math.sqrt(2),
         ),
     ]
@@ -104,7 +102,8 @@ def test_acceptance_2_oracle_equivalence():
 
 
 def test_acceptance_3_schwarz_identity():
-    """Gap and pairwise-minor sum agree on 10,000 random pairs; gap >= 0."""
+    """schwarz_gap and the pairwise-minor sum, taken here from the minors
+    themselves, agree on 10,000 random pairs; gap >= 0."""
     rng = np.random.default_rng(31415926)
     worst_rel = 0.0
     negatives = 0
@@ -112,7 +111,10 @@ def test_acceptance_3_schwarz_identity():
         n = int(rng.integers(2, 33))
         x1 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         x2 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        gap, minor_sum = gap_equals_minor_sum(x1, x2)
+        gap = schwarz_gap(x1, x2)
+        minors = x1[:, None] * x2[None, :] - x1[None, :] * x2[:, None]
+        upper = minors[np.triu_indices(n, 1)]
+        minor_sum = math.fsum((upper.real**2 + upper.imag**2).tolist())
         if gap < 0.0:
             negatives += 1
         denom = max(gap, minor_sum)
@@ -243,7 +245,7 @@ def test_acceptance_7_scale():
     rng = np.random.default_rng(3232)
     s = make_state([32, 32], rng.standard_normal(1024) + 1j * rng.standard_normal(1024))
     start = time.perf_counter()
-    report = bipartite_concurrence(s)
+    report = concurrence(s)
     elapsed = time.perf_counter() - start
     # Substance check alongside the stopwatch: the value must also be right.
     oracle_sq = 2.0 * (1.0 - purity(reduced_density(s, 1)))

@@ -72,6 +72,17 @@ class TestConcurrenceCommand:
         assert code == 0
         assert json.loads(out)["value"] == pytest.approx(math.sqrt(0.5), abs=1e-12)
 
+    def test_infinite_normalization_is_input_error(self, capsys, tmp_path):
+        # A product state: inf * 0 would be a NaN value.
+        path = tmp_path / "product.json"
+        path.write_text(emit_state(ket([2, 2], [1, 1])), encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "concurrence", "--state", str(path), "--normalization", "inf"
+        )
+        assert code == 2
+        assert out == ""
+        assert "normalization" in err and "not finite" not in err
+
     def test_repeated_runs_byte_identical(self, capsys, ghz_file):
         _, first, _ = run_cli(capsys, "concurrence", "--state", ghz_file)
         _, second, _ = run_cli(capsys, "concurrence", "--state", ghz_file)

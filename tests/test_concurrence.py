@@ -12,7 +12,6 @@ from qconc import (
     CertificateError,
     DegenerateStateError,
     PureState,
-    bipartite_concurrence,
     concurrence,
     factorize_cut,
     full_separability,
@@ -26,7 +25,6 @@ from qconc import (
     sample_state,
     SamplerSpec,
     tensor,
-    tripartite_concurrence,
     WorkBudgetError,
 )
 from qconc.concurrence import MAX_CERTIFICATE_MINORS, _rank_one_factors
@@ -48,33 +46,33 @@ SQ2 = 1.0 / math.sqrt(2.0)
 
 class TestGoldenValues:
     def test_bell(self):
-        assert bipartite_concurrence(bell_state()).value == pytest.approx(1.0, abs=1e-12)
+        assert concurrence(bell_state()).value == pytest.approx(1.0, abs=1e-12)
 
     def test_product_basis_state(self):
-        assert bipartite_concurrence(ket([2, 2], [1, 1])).value == 0.0
+        assert concurrence(ket([2, 2], [1, 1])).value == 0.0
 
     def test_qutrit_pair(self):
-        report = bipartite_concurrence(qutrit_pair())
+        report = concurrence(qutrit_pair())
         assert report.value == pytest.approx(math.sqrt(4 / 3), abs=1e-12)
 
     def test_ghz(self):
-        report = tripartite_concurrence(ghz_state())
+        report = concurrence(ghz_state())
         assert report.value == pytest.approx(math.sqrt(3), abs=1e-12)
         for _, s in report.per_cut_sums:
             assert s == pytest.approx(0.25, abs=1e-15)
 
     def test_w(self):
-        report = tripartite_concurrence(w_state())
+        report = concurrence(w_state())
         assert report.value == pytest.approx(math.sqrt(8 / 3), abs=1e-12)
         for _, s in report.per_cut_sums:
             assert s == pytest.approx(2 / 9, abs=1e-15)
 
     def test_product_of_three(self):
-        assert tripartite_concurrence(ket([2, 2, 2], [1, 1, 1])).value == 0.0
+        assert concurrence(ket([2, 2, 2], [1, 1, 1])).value == 0.0
 
     def test_qubit_times_bell(self):
         state = tensor(ket([2], [1]), bell_state())
-        report = tripartite_concurrence(state)
+        report = concurrence(state)
         assert report.value == pytest.approx(math.sqrt(2), abs=1e-12)
         sums = dict(report.per_cut_sums)
         assert sums[1] == pytest.approx(0.0, abs=1e-15)
@@ -86,15 +84,15 @@ class TestReportStructure:
     def test_value_matches_sums(self):
         rng = np.random.default_rng(2)
         s = make_state([3, 4], rng.standard_normal(12) + 1j * rng.standard_normal(12))
-        report = bipartite_concurrence(s)
+        report = concurrence(s)
         total = math.fsum(v for _, v in report.per_cut_sums)
         assert report.value == pytest.approx(
             math.sqrt(report.normalization * total), rel=1e-12
         )
 
     def test_cut_labels(self):
-        assert [c for c, _ in bipartite_concurrence(bell_state()).per_cut_sums] == [1]
-        assert [c for c, _ in tripartite_concurrence(ghz_state()).per_cut_sums] == [1, 2, 3]
+        assert [c for c, _ in concurrence(bell_state()).per_cut_sums] == [1]
+        assert [c for c, _ in concurrence(ghz_state()).per_cut_sums] == [1, 2, 3]
 
     def test_dispatcher(self):
         assert concurrence(bell_state()).value == pytest.approx(1.0)
@@ -104,24 +102,28 @@ class TestReportStructure:
         with pytest.raises(ArityError):
             concurrence(ket([2, 2, 2, 2], [1, 1, 1, 1]))
 
-    def test_arity_errors(self):
-        with pytest.raises(ArityError):
-            bipartite_concurrence(ghz_state())
-        with pytest.raises(ArityError):
-            tripartite_concurrence(bell_state())
-
     def test_normalization_parameter(self):
-        assert bipartite_concurrence(bell_state(), normalization=2.0).value == (
+        assert concurrence(bell_state(), normalization=2.0).value == (
             pytest.approx(math.sqrt(0.5))
         )
         with pytest.raises(ValueError):
-            bipartite_concurrence(bell_state(), normalization=0.0)
+            concurrence(bell_state(), normalization=0.0)
         with pytest.raises(ValueError):
-            bipartite_concurrence(bell_state(), normalization=-1.0)
+            concurrence(bell_state(), normalization=-1.0)
+
+    @pytest.mark.parametrize("normalization", [math.inf, -math.inf, math.nan])
+    def test_non_finite_normalization_refused(self, normalization):
+        # inf * 0 would make a product state's value a silent NaN.
+        with pytest.raises(ValueError, match="normalization"):
+            concurrence(ket([2, 2], [1, 1]), normalization=normalization)
+
+    def test_arity_checked_before_normalization(self):
+        with pytest.raises(ArityError):
+            concurrence(ket([2, 2, 2, 2], [1, 1, 1, 1]), normalization=math.inf)
 
     def test_input_normalization_is_internal(self):
         scaled = make_state([2, 2], 7.3 * bell_state().amps)
-        assert bipartite_concurrence(scaled).value == pytest.approx(1.0, abs=1e-12)
+        assert concurrence(scaled).value == pytest.approx(1.0, abs=1e-12)
 
 
 class TestInvariances:
@@ -153,8 +155,8 @@ class TestInvariances:
         swapped = make_state(
             (dims[1], dims[0]), amps.reshape(dims).T.reshape(-1)
         )
-        a = bipartite_concurrence(s).value
-        b = bipartite_concurrence(swapped).value
+        a = concurrence(s).value
+        b = concurrence(swapped).value
         assert abs(a - b) <= 1e-12 * max(a, 1.0)
 
 

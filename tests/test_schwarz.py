@@ -20,7 +20,6 @@ from qconc import (
     InternalConsistencyError,
     NonFiniteError,
     ShapeError,
-    gap_equals_minor_sum,
     make_state,
     matricize,
     max_abs_minor,
@@ -77,8 +76,7 @@ class TestSchwarzGap:
         assert schwarz_gap(x1[:n], x2[:n]) >= 0.0
 
     def test_underflowed_scale_clamps(self):
-        # n1 * n2 is subnormal, so 1e-12 of it rounds to 0 while the gap
-        # carries an absolute underflow error of one subnormal ulp.
+        # Parallel with n1 * n2 subnormal: the one minor is exactly 0.
         assert schwarz_gap([6j, 0], [5.21765229e-161j, 0]) == 0.0
 
     def test_huge_parallel_vectors_give_zero(self):
@@ -101,30 +99,39 @@ class TestSchwarzGap:
         assert got.hex() == want.hex()
 
     def test_consistency_error_is_exported(self):
-        # The > -1e-12*scale clamp is exercised above; the error class itself
-        # must exist for callers that trap it.
+        # The clamp is exercised in TestMinorSumAccuracy; the error class
+        # itself must exist for callers that trap it.
         assert issubclass(InternalConsistencyError, Exception)
+
+
+def _pairwise_minor_sum(x1, x2):
+    """sum_{a<b} |x1_a x2_b - x1_b x2_a|^2 from the minors themselves:
+    the other side of the Lagrange identity, independent of minor_sum_sq."""
+    x1, x2 = np.asarray(x1, dtype=complex), np.asarray(x2, dtype=complex)
+    minors = x1[:, None] * x2[None, :] - x1[None, :] * x2[:, None]
+    upper = minors[np.triu_indices(x1.size, 1)]
+    return math.fsum((upper.real**2 + upper.imag**2).tolist())
 
 
 class TestGapEqualsMinorSum:
     def test_single_minor(self):
-        assert gap_equals_minor_sum([1, 0], [0, 1]) == (1.0, 1.0)
+        assert schwarz_gap([1, 0], [0, 1]) == _pairwise_minor_sum([1, 0], [0, 1]) == 1.0
 
     def test_identical_vectors(self):
-        assert gap_equals_minor_sum([1, 1], [1, 1]) == (0.0, 0.0)
+        assert schwarz_gap([1, 1], [1, 1]) == _pairwise_minor_sum([1, 1], [1, 1]) == 0.0
 
     def test_length_mismatch_raises(self):
         with pytest.raises(ShapeError):
-            gap_equals_minor_sum([1], [1, 2])
+            schwarz_gap([1], [1, 2])
 
     @given(complex_vectors, complex_vectors)
     def test_agreement_within_scale(self, x1, x2):
         n = min(len(x1), len(x2))
         x1, x2 = x1[:n], x2[:n]
-        gap, minor_sum = gap_equals_minor_sum(x1, x2)
+        gap, minor_sum = schwarz_gap(x1, x2), _pairwise_minor_sum(x1, x2)
         scale = float(np.vdot(x1, x1).real * np.vdot(x2, x2).real)
         assert abs(gap - minor_sum) <= 1e-10 * max(scale, 1.0)
-        assert minor_sum >= 0.0
+        assert gap >= 0.0
 
     @settings(max_examples=60)
     @given(st.integers(0, 2**32 - 1))
@@ -132,9 +139,22 @@ class TestGapEqualsMinorSum:
         rng = np.random.default_rng(seed)
         x1 = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         x2 = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        gap, minor_sum = gap_equals_minor_sum(x1, x2)
+        gap, minor_sum = schwarz_gap(x1, x2), _pairwise_minor_sum(x1, x2)
         scale = float(np.vdot(x1, x1).real * np.vdot(x2, x2).real)
         assert abs(gap - minor_sum) <= 1e-10 * scale
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_near_parallel_pairs_within_bound(self, seed):
+        # x2 = c x1 + 1e-9 noise: the gap is about 1e-18 of ||x1||^2 ||x2||^2,
+        # where a plain float gap ||x1||^2 ||x2||^2 - |<x1|x2>|^2 cancels.
+        rng = np.random.default_rng(seed + 9000)
+        n = int(rng.integers(2, 33))
+        x1 = _gaussian(rng, n)
+        x2 = complex(*rng.standard_normal(2)) * x1 + 1e-9 * _gaussian(rng, n)
+        gap = schwarz_gap(x1, x2)
+        exact, fro2 = _exact_sum(np.vstack([x1, x2]))
+        assert abs(Fraction(gap) - exact) <= exact / 2**52 + Fraction(schwarz._BOUND) * fro2**2
+        assert abs(Fraction(gap) - exact) <= Fraction(1e-10) * exact
 
 
 class TestParallelismEquivalence:

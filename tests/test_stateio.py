@@ -132,6 +132,12 @@ class TestEmitState:
         assert text.index('"dims"') < text.index('"amps"') < text.index('"label"')
         assert text.endswith("}\n")
 
+    @pytest.mark.parametrize("label", [7, 1.5, b"ghz", ["ghz"]])
+    def test_non_string_label_refused_on_emit(self, label):
+        # parse_state refuses a non-string label, so emit_state must not write one.
+        with pytest.raises(TypeError, match="label"):
+            emit_state(make_state([2], [1, 0]), label=label)
+
     def test_emitted_text_is_valid_json(self):
         text = emit_state(make_state([2, 2], [0.5, 0.5j, -0.5, -0.5j]))
         doc = json.loads(text)
