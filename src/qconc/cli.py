@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: concurrence, separability, factorize, fullsep, sample.
-Results are printed as JSON documents with a fixed key order, always
-including the tool version and the parameters used, so repeated runs on the
-same inputs are byte-identical.  Exit codes: 0 success, 1 domain errors
+Results are printed as JSON documents with a fixed key order, so repeated
+runs on the same inputs are byte-identical.  Each carries the tool version
+and ``parameters``: the subcommand's flags in declaration order, on success
+and on domain errors alike.  Exit codes: 0 success, 1 domain errors
 (e.g. factorizing a non-separable cut), 2 usage or input-format errors.
 """
 
@@ -54,81 +55,63 @@ def _state_doc(state: PureState) -> dict:
 
 
 def _cert_doc(cert) -> dict:
-    doc = {
+    return {
         "cut": cert.cut,
         "max_abs_minor": cert.max_abs_minor,
         "tolerance": cert.tolerance,
         "separable": cert.separable,
+        "factors": [_state_doc(f) for f in cert.factors] if cert.factors is not None else None,
     }
-    doc["factors"] = (
-        [_state_doc(f) for f in cert.factors] if cert.factors is not None else None
-    )
-    return doc
 
 
 def _read_state(path: str) -> PureState:
     return parse_state(Path(path).read_text(encoding="utf-8"))
 
 
-def _cmd_concurrence(args) -> str:
-    state = _read_state(args.state)
+def _concurrence_fields(args, state: PureState) -> dict:
     report = concurrence(state, normalization=args.normalization)
-    return _dump(
-        _doc(
-            "concurrence",
-            {"state": args.state, "normalization": args.normalization},
-            subsystems=state.subsystem_count,
-            value=report.value,
-            per_cut_sums=[[cut, s] for cut, s in report.per_cut_sums],
-            normalization=report.normalization,
-        )
-    )
+    return {
+        "subsystems": state.subsystem_count,
+        "value": report.value,
+        "per_cut_sums": [[cut, s] for cut, s in report.per_cut_sums],
+        "normalization": report.normalization,
+    }
 
 
-def _cmd_separability(args) -> str:
-    state = _read_state(args.state)
+def _separability_fields(args, state: PureState) -> dict:
     cuts = [args.cut] if args.cut is not None else list(range(1, state.subsystem_count + 1))
     certs = [is_separable_cut(state, j, tolerance=args.tol) for j in cuts]
-    return _dump(
-        _doc(
-            "separability",
-            {"state": args.state, "cut": args.cut, "tol": args.tol},
-            certificates=[_cert_doc(c) for c in certs],
-            all_separable=all(c.separable for c in certs),
-        )
-    )
+    return {
+        "certificates": [_cert_doc(c) for c in certs],
+        "all_separable": all(c.separable for c in certs),
+    }
 
 
-def _cmd_factorize(args) -> str:
-    state = _read_state(args.state)
+def _factorize_fields(args, state: PureState) -> dict:
     u, rest = factorize_cut(state, args.cut, tolerance=args.tol)
-    return _dump(
-        _doc(
-            "factorize",
-            {"state": args.state, "cut": args.cut, "tol": args.tol},
-            cut=args.cut,
-            factors=[_state_doc(u), _state_doc(rest)],
-        )
-    )
+    return {"cut": args.cut, "factors": [_state_doc(u), _state_doc(rest)]}
 
 
-def _cmd_fullsep(args) -> str:
-    state = _read_state(args.state)
+def _fullsep_fields(args, state: PureState) -> dict:
     result = full_separability(state, tolerance=args.tol)
-    return _dump(
-        _doc(
-            "fullsep",
-            {"state": args.state, "tol": args.tol},
-            verdict=result.verdict,
-            fully_separable=result.fully_separable,
-            factors=[
-                {"subsystem": idx, **_state_doc(s)} for idx, s in result.factors
-            ],
-            failed_cuts=[_cert_doc(c) for c in result.failed],
-            remainder=_state_doc(result.remainder) if result.remainder is not None else None,
-            remainder_subsystems=list(result.remainder_subsystems),
-        )
-    )
+    return {
+        "verdict": result.verdict,
+        "fully_separable": result.fully_separable,
+        "factors": [{"subsystem": idx, **_state_doc(s)} for idx, s in result.factors],
+        "failed_cuts": [_cert_doc(c) for c in result.failed],
+        "remainder": _state_doc(result.remainder) if result.remainder is not None else None,
+        "remainder_subsystems": list(result.remainder_subsystems),
+    }
+
+
+def _run_state_command(args) -> tuple[int, str]:
+    """Exit code and document of a state command; ``parameters`` echo its flags."""
+    parameters = {k: v for k, v in vars(args).items() if k not in ("command", "handler")}
+    try:
+        code, fields = 0, args.handler(args, _read_state(args.state))
+    except (ArityError, CertificateError) as exc:
+        code, fields = 1, {"error": {"type": type(exc).__name__, "message": str(exc)}}
+    return code, _dump(_doc(args.command, parameters, **fields))
 
 
 def _cmd_sample(args) -> str:
@@ -161,31 +144,30 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("concurrence", help="concurrence of a bipartite or tripartite state")
     p.add_argument("--state", required=True, help="path to a state JSON file")
     p.add_argument("--normalization", type=float, default=DEFAULT_NORMALIZATION)
-    p.set_defaults(handler=_cmd_concurrence)
+    p.set_defaults(handler=_concurrence_fields)
 
     p = sub.add_parser("separability", help="separability certificates per cut")
     p.add_argument("--state", required=True)
     p.add_argument("--cut", type=int, default=None, help="test one cut (default: all cuts)")
     p.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE)
-    p.set_defaults(handler=_cmd_separability)
+    p.set_defaults(handler=_separability_fields)
 
     p = sub.add_parser("factorize", help="split a separable cut into factors")
     p.add_argument("--state", required=True)
     p.add_argument("--cut", type=int, required=True)
     p.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE)
-    p.set_defaults(handler=_cmd_factorize)
+    p.set_defaults(handler=_factorize_fields)
 
     p = sub.add_parser("fullsep", help="greedy full-separability test")
     p.add_argument("--state", required=True)
     p.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE)
-    p.set_defaults(handler=_cmd_fullsep)
+    p.set_defaults(handler=_fullsep_fields)
 
     p = sub.add_parser("sample", help="draw a seeded random state")
     p.add_argument("--dims", required=True, help="comma-separated subsystem dimensions")
     p.add_argument("--kind", required=True, choices=SAMPLER_KINDS)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", default=None, help="write the state here instead of stdout")
-    p.set_defaults(handler=_cmd_sample)
     return parser
 
 
@@ -197,23 +179,15 @@ def cli_main(argv) -> int:
     except SystemExit as exc:  # argparse handles usage/help itself
         return int(exc.code or 0)
     try:
-        output = args.handler(args)
-    except (ArityError, CertificateError) as exc:
-        sys.stdout.write(
-            _dump(
-                _doc(
-                    args.command,
-                    {"state": getattr(args, "state", None)},
-                    error={"type": type(exc).__name__, "message": str(exc)},
-                )
-            )
-        )
-        return 1
+        if args.command == "sample":
+            code, output = 0, _cmd_sample(args)
+        else:
+            code, output = _run_state_command(args)
     except (QconcError, ValueError, IndexError, OSError) as exc:
         print(f"qconc {args.command}: error: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(output)
-    return 0
+    return code
 
 
 def main() -> None:

@@ -226,30 +226,17 @@ def full_separability(
     current = normalize(state)
     ids = list(range(1, state.subsystem_count + 1))
     factors: list[tuple[int, PureState]] = []
-    while True:
-        if len(ids) == 1:
-            factors.append((ids[0], current))
-            return FullSeparabilityResult(
-                fully_separable=True,
-                factors=tuple(sorted(factors)),
-                failed=(),
-                remainder=None,
-                remainder_subsystems=(),
-            )
+    while len(ids) > 1:
         certificates = []
-        extracted = False
         for pos in range(1, len(ids) + 1):
             cert = is_separable_cut(current, pos, tolerance)
             if cert.separable:
                 assert cert.factors is not None
-                u, rest = cert.factors
-                factors.append((ids[pos - 1], u))
-                current = rest
-                del ids[pos - 1]
-                extracted = True
+                u, current = cert.factors
+                factors.append((ids.pop(pos - 1), u))
                 break
             certificates.append(cert)
-        if not extracted:
+        else:
             return FullSeparabilityResult(
                 fully_separable=False,
                 factors=tuple(sorted(factors)),
@@ -257,3 +244,11 @@ def full_separability(
                 remainder=current,
                 remainder_subsystems=tuple(ids),
             )
+    factors.append((ids[0], current))
+    return FullSeparabilityResult(
+        fully_separable=True,
+        factors=tuple(sorted(factors)),
+        failed=(),
+        remainder=None,
+        remainder_subsystems=(),
+    )

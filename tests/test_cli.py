@@ -9,7 +9,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qconc import __version__, emit_state, make_state, parse_state, tensor
+from qconc import (
+    SamplerSpec, __version__, emit_state, make_state, parse_state, sample_state, tensor,
+)
 from qconc.cli import cli_main
 from qconc.stateio import MAX_SAMPLE_AMPLITUDES
 
@@ -279,6 +281,70 @@ class TestFullsepCommand:
         assert doc["factors"] == []
         assert len(doc["failed_cuts"]) == 3
         assert doc["remainder_subsystems"] == [1, 2, 3]
+
+
+class TestParameterEcho:
+    """``parameters`` holds the subcommand's flags in declaration order, on
+    success and on a domain error (exit 1) alike."""
+
+    @pytest.mark.parametrize(
+        "argv, flags",
+        [
+            (["concurrence"], [("normalization", 4.0)]),
+            (["separability"], [("cut", None), ("tol", 1e-9)]),
+            (["separability", "--tol", "1e-6", "--cut", "2"], [("cut", 2), ("tol", 1e-6)]),
+            (["factorize", "--tol", "1e-3", "--cut", "1"], [("cut", 1), ("tol", 1e-3)]),
+            (["fullsep"], [("tol", 1e-9)]),
+        ],
+    )
+    def test_success(self, capsys, product_file, argv, flags):
+        code, out, _ = run_cli(capsys, argv[0], "--state", product_file, *argv[1:])
+        assert code == 0
+        assert list(json.loads(out)["parameters"].items()) == [("state", product_file), *flags]
+
+    def _domain_error(self, capsys, tmp_path, state, *argv):
+        path = tmp_path / "state.json"
+        path.write_text(emit_state(state), encoding="utf-8")
+        code, out, _ = run_cli(capsys, argv[0], "--state", str(path), *argv[1:])
+        assert code == 1
+        doc = json.loads(out)
+        parameters = list(doc["parameters"].items())
+        assert parameters[0] == ("state", str(path))
+        return doc["error"]["type"], parameters[1:]
+
+    def test_concurrence_domain_error(self, capsys, tmp_path):
+        error, flags = self._domain_error(
+            capsys, tmp_path, ket([2, 2, 2, 2], [1, 1, 1, 1]), "concurrence", "--normalization", "2"
+        )
+        assert error == "ArityError"
+        assert flags == [("normalization", 2.0)]
+
+    def test_separability_domain_error(self, capsys, tmp_path):
+        error, flags = self._domain_error(
+            capsys, tmp_path, ket([3], [2]), "separability", "--cut", "1", "--tol", "0.5"
+        )
+        assert error == "ArityError"
+        assert flags == [("cut", 1), ("tol", 0.5)]
+
+    def test_factorize_domain_error(self, capsys, tmp_path):
+        state = sample_state(SamplerSpec((2, 2), "haar", 7))
+        error, flags = self._domain_error(
+            capsys, tmp_path, state, "factorize", "--cut", "2", "--tol", "1e-6"
+        )
+        assert error == "CertificateError"
+        assert flags == [("cut", 2), ("tol", 1e-6)]
+
+    def test_unprintable_parameter_on_domain_error_is_input_error(self, capsys, tmp_path):
+        # The arity error comes first, but its document cannot echo an
+        # infinite normalization: JSON has no inf, so nothing is printed.
+        path = tmp_path / "four.json"
+        path.write_text(emit_state(ket([2, 2, 2, 2], [1, 1, 1, 1])), encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "concurrence", "--state", str(path), "--normalization", "inf"
+        )
+        assert code == 2
+        assert out == ""
+        assert "Infinity" not in err
 
 
 class TestSampleCommand:

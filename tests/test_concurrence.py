@@ -405,6 +405,20 @@ class TestFullSeparability:
         )
         assert len(result.failed) == 2
 
+    def test_two_peels_number_the_remainder(self):
+        # Subsystems 3, then 4 (cut 3 of the remainder [1, 2, 4]) peel off;
+        # the failed list holds only the last pass, numbered in (1, 2).
+        plus = make_state([2], [SQ2, SQ2])
+        result = full_separability(tensor(bell_state(), ket([2], [2]), plus))
+        assert not result.fully_separable
+        assert [idx for idx, _ in result.factors] == [3, 4]
+        assert result.remainder_subsystems == (1, 2)
+        assert result.remainder.dims == (2, 2)
+        assert [c.cut for c in result.failed] == [1, 2]
+        for cert in result.failed:
+            assert not cert.separable
+            assert cert.max_abs_minor == pytest.approx(0.5, abs=1e-15)
+
     def test_single_subsystem(self):
         result = full_separability(make_state([4], [1, 2, 3, 4]))
         assert result.fully_separable

@@ -1,0 +1,45 @@
+"""The benchmark's traced mode wraps the package's functions where modules bind
+them (``perfbench/tracing.py``, ``PATCH_POINTS``).  A renamed global, or a call
+that bypasses one, would silently drop spans from the traced run; these tests
+read that file, without editing it, and check that the seams still hold."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import qconc.cli
+from qconc import emit_state
+
+from conftest import ghz_state
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_patch_point_resolves():
+    for module_name, attr, _ in _tracing().PATCH_POINTS:
+        assert callable(getattr(importlib.import_module(module_name), attr)), (module_name, attr)
+
+
+def test_fullsep_run_records_every_layer(capsys, tmp_path):
+    path = tmp_path / "ghz.json"
+    path.write_text(emit_state(ghz_state()), encoding="utf-8")
+    tracer = _tracing().Tracer()
+    with tracer.patched():
+        code = qconc.cli.cli_main(["fullsep", "--state", str(path)])
+    capsys.readouterr()
+    assert code == 0
+    names = {span[0] for span in tracer.spans}
+    assert {
+        "cli.main",
+        "stateio.parse",
+        "concurrence.full_separability",
+        "concurrence.certificate",
+        "schwarz.max_minor",
+    } <= names
