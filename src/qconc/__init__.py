@@ -28,7 +28,7 @@ from .errors import (
 from .oracle import DensityMatrix, numeric_rank, oracle_concurrence, purity, reduced_density
 from .schwarz import matricize, max_abs_minor, minor_sum_sq, schwarz_gap
 from .stateio import SAMPLER_KINDS, SamplerSpec, emit_state, parse_state, sample_state
-from .states import Cut, PureState, amplitude, linear_index, make_state, normalize, tensor
+from .states import Cut, PureState, amplitude, make_state, normalize, tensor
 
 __version__ = "0.1.0"
 
@@ -58,7 +58,6 @@ __all__ = [
     "factorize_cut",
     "full_separability",
     "is_separable_cut",
-    "linear_index",
     "make_state",
     "matricize",
     "max_abs_minor",

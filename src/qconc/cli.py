@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -133,6 +134,14 @@ def _cmd_sample(args) -> str:
     )
 
 
+def finite(text: str) -> float:
+    """argparse type of --tol and --normalization: JSON has no inf or NaN."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qconc",
@@ -143,24 +152,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("concurrence", help="concurrence of a bipartite or tripartite state")
     p.add_argument("--state", required=True, help="path to a state JSON file")
-    p.add_argument("--normalization", type=float, default=DEFAULT_NORMALIZATION)
+    p.add_argument("--normalization", type=finite, default=DEFAULT_NORMALIZATION)
     p.set_defaults(handler=_concurrence_fields)
 
     p = sub.add_parser("separability", help="separability certificates per cut")
     p.add_argument("--state", required=True)
     p.add_argument("--cut", type=int, default=None, help="test one cut (default: all cuts)")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE)
+    p.add_argument("--tol", type=finite, default=DEFAULT_TOLERANCE)
     p.set_defaults(handler=_separability_fields)
 
     p = sub.add_parser("factorize", help="split a separable cut into factors")
     p.add_argument("--state", required=True)
     p.add_argument("--cut", type=int, required=True)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE)
+    p.add_argument("--tol", type=finite, default=DEFAULT_TOLERANCE)
     p.set_defaults(handler=_factorize_fields)
 
     p = sub.add_parser("fullsep", help="greedy full-separability test")
     p.add_argument("--state", required=True)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE)
+    p.add_argument("--tol", type=finite, default=DEFAULT_TOLERANCE)
     p.set_defaults(handler=_fullsep_fields)
 
     p = sub.add_parser("sample", help="draw a seeded random state")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArityError, CertificateError, DegenerateStateError, WorkBudgetError
+from .errors import ArityError, CertificateError, WorkBudgetError
 from .schwarz import matricize, max_abs_minor, minor_sum_sq
 from .states import Cut, PureState, normalize, peak_scaled
 
@@ -174,8 +174,6 @@ def is_separable_cut(
     factors = None
     if separable:
         nrm = float(np.linalg.norm(amps))  # as normalize(state) divides
-        if nrm == 0.0:
-            raise DegenerateStateError("cannot normalize the zero vector")
         factors = _rank_one_factors(entries / nrm, state, cut)
     with np.errstate(over="ignore"):
         reported = float(np.ldexp(worst, 2 * e))

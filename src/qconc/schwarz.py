@@ -340,16 +340,17 @@ def _bounded_pairs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """Row pairs (a, b), lexicographic, of x read tall as the kernel reads
     it that can hold the largest |minor|; None for all pairs.
 
-    With p1 >= p2 the two largest |x[a, :]| and q1 >= q2 those of row b, no
-    minor of the pair exceeds min(q1 (p1 + p2), p1 (q1 + q2)) or hypot(p1,
-    p2) hypot(q1, q2) (Hadamard).  L is the kernel's largest |minor| of the
-    pair, of the 12 rows of largest p1 + p2, whose minor at their peak
-    columns seems largest.  Kept are the pairs with bound >= L (1 - 2**-40),
-    a slack for the ulps by which a bound or the kernel strays, with _TINY
-    added to every |x| for hypot on subnormals (an overflowed bound is kept).
-    None if L is not finite or below 2**-1000 (subnormal rounding is
-    absolute), if no bound can be below L (each is at least p1 q1), beyond
-    _PRUNE_PAIRS pairs, or up to _CHUNK minors (the bounds cost as much).
+    No minor of rows a, b exceeds h_a h_b, h_a = hypot(p1, p2) of the two
+    largest |x[a, :]| (Schwarz on each row's two entries in the minor's
+    columns).  L is the kernel's largest |minor| of the pair, of the 12
+    rows of largest h, whose minor at their peak columns seems largest.
+    Kept are the pairs with h_a h_b >= L (1 - 2**-40), a slack for the ulps
+    by which a bound or the kernel strays, with _TINY added to every |x|
+    for hypot on subnormals (an overflowed bound is kept).  None if L is
+    not finite or below 2**-1000 (subnormal rounding is absolute), if the
+    smallest bound, the two least h multiplied, reaches L (rounding is
+    monotone, so every bound does), beyond _PRUNE_PAIRS pairs, or up to
+    _CHUNK minors (the bounds cost as much).
     """
     x = x.T if x.shape[0] < x.shape[1] else x
     nr, nc = x.shape
@@ -357,26 +358,23 @@ def _bounded_pairs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     if total * (nc * (nc - 1) // 2) <= _CHUNK or total > _PRUNE_PAIRS:
         return None
     mod = np.abs(x) + _TINY
-    p2, p1 = np.sort(mod, axis=1)[:, -2:].T
-    s = p1 + p2
-    rows = np.argsort(s)[-12:]
-    cols = np.argsort(mod[rows], axis=1)[:, -2:].ravel()
+    peaks = np.argsort(mod, axis=1)[:, -2:]
+    h = np.hypot(*mod[np.arange(nr)[:, None], peaks].T)
+    order = np.argsort(h)
+    smallest = float(h[order[0]]) * float(h[order[1]])  # the smallest bound
+    rows = order[-12:]
     index = _seed_index(rows.size)
-    g = x[rows][:, cols].take(index)  # ac, ad, bd, bc
+    g = x[rows][:, peaks[rows].ravel()].take(index)  # ac, ad, bd, bc
     seem = np.abs(g[0] * g[2] - g[1] * g[3])
-    least = float(p1.min())
-    if seem.max() <= least * least:  # no bound is below L
+    if seem.max() <= smallest:  # no bound is below L
         return None
     seed = x[rows[index[::2, seem.argmax()] // (2 * rows.size)]]  # kernel reads it nc x 2
     low = _max_modulus(_minor_chunks(seed)) * _BAND
-    if not 2.0**-1000 <= low < math.inf:
+    if not 2.0**-1000 <= low < math.inf or low <= smallest:
         return None
     a, b = (_pair_block if total <= _CHUNK else _pair_block.__wrapped__)(nr, 0, total)
-    bound = np.minimum(s.take(a) * p1.take(b), p1.take(a) * s.take(b))
-    h = np.hypot(p1, p2)
-    bound = np.minimum(bound, h.take(a) * h.take(b), out=bound)
-    keep = bound >= low
-    return None if keep.all() else (a[keep], b[keep])
+    keep = h.take(a) * h.take(b) >= low
+    return a[keep], b[keep]
 
 
 @lru_cache(maxsize=16)

@@ -37,7 +37,8 @@ class PureState:
     amps : numpy.ndarray
         Complex amplitudes, flat, row-major over (i_1, ..., i_m).
         The array is read-only.  Every amplitude must be finite
-        (NonFiniteError otherwise).
+        (NonFiniteError otherwise) and at least one nonzero
+        (DegenerateStateError otherwise), so a PureState is never all-zero.
     """
 
     dims: tuple[int, ...]
@@ -53,6 +54,8 @@ class PureState:
             )
         if not np.isfinite(amps).all():
             raise NonFiniteError("amplitudes must be finite")
+        if not np.count_nonzero(amps):
+            raise DegenerateStateError("all amplitudes are zero")
         amps.flags.writeable = False
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amps", amps)
@@ -94,6 +97,7 @@ def make_state(dims, amps) -> PureState:
     """Build a PureState from a dimension list and a flat amplitude list.
 
     No normalization is applied; the amplitudes are stored as given.
+    PureState itself makes every check below.
 
     Raises
     ------
@@ -105,15 +109,12 @@ def make_state(dims, amps) -> PureState:
     DegenerateStateError
         If every amplitude is zero.
     """
-    state = PureState(tuple(dims), np.asarray(amps, dtype=np.complex128))
-    if not np.any(state.amps):
-        raise DegenerateStateError("all amplitudes are zero")
-    return state
+    return PureState(dims, amps)
 
 
 def peak_scaled(state: PureState) -> tuple[np.ndarray, int]:
     """The amplitudes times 2**-e, where 2**e is the power of two just
-    above the largest |Re amp| or |Im amp| (0 for the zero vector).
+    above the largest |Re amp| or |Im amp|.
 
     Scaling by a power of two is exact, so ratios of amplitudes and the
     rounding of any product or quotient of them are unchanged, while the
@@ -135,30 +136,22 @@ def normalize(state: PureState) -> PureState:
     equals the amplitudes divided by their plain norm, bit for bit.
     """
     amps, _ = peak_scaled(state)
-    nrm = float(np.linalg.norm(amps))
-    if nrm == 0.0:
-        raise DegenerateStateError("cannot normalize the zero vector")
-    return PureState(state.dims, amps / nrm)
-
-
-def linear_index(dims: tuple[int, ...], multi_index) -> int:
-    """Row-major position of a 1-based multi-index (i_1, ..., i_m)."""
-    if len(multi_index) != len(dims):
-        raise IndexError(
-            f"multi-index length {len(multi_index)} does not match "
-            f"{len(dims)} subsystems"
-        )
-    flat = 0
-    for i, n in zip(multi_index, dims):
-        if not 1 <= i <= n:
-            raise IndexError(f"index {i} out of range 1..{n}")
-        flat = flat * n + (i - 1)
-    return flat
+    return PureState(state.dims, amps / np.linalg.norm(amps))
 
 
 def amplitude(state: PureState, multi_index) -> complex:
-    """Amplitude at the 1-based multi-index (i_1, ..., i_m)."""
-    return complex(state.amps[linear_index(state.dims, multi_index)])
+    """Amplitude at the 1-based multi-index (i_1, ..., i_m), stored row-major."""
+    if len(multi_index) != state.subsystem_count:
+        raise IndexError(
+            f"multi-index length {len(multi_index)} does not match "
+            f"{state.subsystem_count} subsystems"
+        )
+    flat = 0
+    for i, n in zip(multi_index, state.dims):
+        if not 1 <= i <= n:
+            raise IndexError(f"index {i} out of range 1..{n}")
+        flat = flat * n + (i - 1)
+    return complex(state.amps[flat])
 
 
 def tensor(*states: PureState) -> PureState:

@@ -335,8 +335,8 @@ class TestParameterEcho:
         assert flags == [("cut", 2), ("tol", 1e-6)]
 
     def test_unprintable_parameter_on_domain_error_is_input_error(self, capsys, tmp_path):
-        # The arity error comes first, but its document cannot echo an
-        # infinite normalization: JSON has no inf, so nothing is printed.
+        # The library would raise the arity error first, but JSON has no inf
+        # to echo, so the parser refuses the flag and nothing is printed.
         path = tmp_path / "four.json"
         path.write_text(emit_state(ket([2, 2, 2, 2], [1, 1, 1, 1])), encoding="utf-8")
         code, out, err = run_cli(
@@ -445,6 +445,27 @@ class TestUsageContract:
         code, out, _ = run_cli(capsys, "--version")
         assert code == 0
         assert __version__ in out
+
+    @pytest.mark.parametrize(
+        "flag, argv",
+        [
+            ("--tol", ["separability", "--tol", "inf"]),
+            ("--tol", ["separability", "--cut", "1", "--tol", "nan"]),
+            ("--tol", ["factorize", "--cut", "1", "--tol", "inf"]),
+            ("--tol", ["fullsep", "--tol=-inf"]),
+            ("--normalization", ["concurrence", "--normalization", "inf"]),
+            ("--normalization", ["concurrence", "--normalization", "NaN"]),
+        ],
+    )
+    def test_non_finite_flag_refused_by_name(self, capsys, tmp_path, flag, argv):
+        # Refused while parsing, before the state is read: no document could
+        # echo the value (JSON has no inf or NaN), whatever the state.
+        path = tmp_path / "four.json"
+        path.write_text(emit_state(ket([2, 2, 2, 2], [1, 1, 1, 1])), encoding="utf-8")
+        code, out, err = run_cli(capsys, *argv, "--state", str(path))
+        assert code == 2
+        assert out == ""
+        assert f"argument {flag}: must be a finite number" in err
 
 
 class TestCrossProcessDeterminism:

@@ -344,7 +344,7 @@ class TestFactorizeCut:
                     assert g.amps.tobytes() == w.amps.tobytes(), (dims, cut)
 
     def test_all_zero_state_is_degenerate(self):
-        # Built directly, past make_state's check; every minor is 0.
+        # PureState itself refuses it, so no certificate sees a zero vector.
         with pytest.raises(DegenerateStateError):
             is_separable_cut(PureState((2, 2), np.zeros(4)), 1)
 

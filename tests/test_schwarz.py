@@ -19,11 +19,13 @@ from hypothesis import strategies as st
 from qconc import (
     InternalConsistencyError,
     NonFiniteError,
+    SamplerSpec,
     ShapeError,
     make_state,
     matricize,
     max_abs_minor,
     minor_sum_sq,
+    sample_state,
     schwarz_gap,
 )
 from qconc import schwarz
@@ -870,6 +872,16 @@ def _pruning_case(kind, seed, small):
     elif kind == "tight":  # one entry per row: the bound is the minor
         m = np.diag(_gaussian(rng, nr))[:, rng.integers(0, nr, nc)].T
         m *= 10.0 ** -rng.uniform(0, 163)  # minors down to subnormal
+    elif kind == "bound-tight":  # pairs whose minor is the bound h_a h_b
+        k = max(1, nr // 2)
+        a = _gaussian(rng, k, min(nc, 2 * k))  # tall, as the kernel reads it
+        u, v = np.argsort(np.abs(a), axis=1)[:, -2:].T
+        rows = np.arange(k)
+        b = np.zeros_like(a)
+        lam = _gaussian(rng, k) * 10.0 ** rng.uniform(-2, 2, k)
+        b[rows, u] = -lam * a[rows, v].conj()  # minor (u, v): lam (|a_u|^2 + |a_v|^2)
+        b[rows, v] = lam * a[rows, u].conj()
+        m = np.concatenate([a, b])[rng.permutation(2 * k)]
     elif kind == "haar":
         dims = [[4, 4], [3, 5], [2, 3, 2]] if small else [[16, 16], [8, 24], [4, 4, 4]]
         dims = dims[seed % 3]
@@ -884,7 +896,7 @@ def _pruning_case(kind, seed, small):
 
 
 PRUNING_KINDS = ["wide", "zero-rows", "integer-ties", "block-ties", "overflow", "subnormal",
-                 "tight", "haar", "product", "near-product"]
+                 "tight", "bound-tight", "haar", "product", "near-product"]
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -902,7 +914,7 @@ class TestPrunedMaxMatchesAllPairs:
             assert max_abs_minor(m).hex() == _all_pairs_max(m).hex()
 
     @pytest.mark.parametrize("kind", ["wide", "zero-rows", "integer-ties", "block-ties",
-                                      "subnormal", "tight", "haar"])
+                                      "subnormal", "tight", "bound-tight", "haar"])
     def test_kinds_are_pruned(self, kind):
         # The differential above means something only where pairs are pruned.
         pruned = 0
@@ -1001,6 +1013,21 @@ class TestPruningWork:
                 value, evaluated = _evaluated(monkeypatch, mat)
                 assert value.hex() == _all_pairs_max(mat).hex()
                 assert evaluated < _minor_count(mat) / 2, (seed, cut)
+
+    @pytest.mark.parametrize("dims, measured", [((8, 8, 8), 0.0243), ((32, 32), 0.2056)])
+    def test_kept_share_of_row_pairs(self, dims, measured):
+        # The differential tests pass however little is pruned; this pins
+        # how much: at most 1.5 times the share kept when it was written.
+        kept = total = 0
+        for seed in range(4):
+            state = sample_state(SamplerSpec(dims, "haar", seed))
+            for cut in range(1, len(dims) + 1):
+                mat = matricize(state, cut)
+                pairs = math.comb(max(mat.shape), 2)
+                bounded = schwarz._bounded_pairs(mat)
+                kept += pairs if bounded is None else bounded[0].size
+                total += pairs
+        assert kept / total <= 1.5 * measured
 
     def test_product_cut_evaluates_every_minor(self, monkeypatch):
         rng = np.random.default_rng(3)

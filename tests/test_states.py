@@ -14,7 +14,6 @@ from qconc import (
     QconcError,
     ShapeError,
     amplitude,
-    linear_index,
     make_state,
     normalize,
     tensor,
@@ -160,13 +159,15 @@ class TestNormalize:
 
 class TestIndexing:
     def test_linear_index_first_and_last(self):
-        assert linear_index((2, 3), (1, 1)) == 0
-        assert linear_index((2, 3), (2, 3)) == 5
+        s = make_state([2, 3], np.arange(6))
+        assert amplitude(s, (1, 1)) == 0
+        assert amplitude(s, (2, 3)) == 5
 
     def test_linear_index_row_major(self):
         # Last subsystem varies fastest.
-        assert linear_index((2, 3), (1, 2)) == 1
-        assert linear_index((2, 3), (2, 1)) == 3
+        s = make_state([2, 3], np.arange(6))
+        assert amplitude(s, (1, 2)) == 1
+        assert amplitude(s, (2, 1)) == 3
 
     def test_amplitude_ghz(self):
         g = ghz_state()
@@ -178,13 +179,8 @@ class TestIndexing:
     def test_amplitude_round_trip_exhaustive(self, dims):
         size = math.prod(dims)
         s = make_state(dims, np.arange(1, size + 1, dtype=float))
-        seen = set()
-        for multi in np.ndindex(*dims):
-            idx = tuple(i + 1 for i in multi)
-            flat = linear_index(dims, idx)
-            seen.add(flat)
-            assert amplitude(s, idx) == s.amps[flat]
-        assert seen == set(range(size))
+        for flat, multi in enumerate(np.ndindex(*dims)):  # row-major order
+            assert amplitude(s, tuple(i + 1 for i in multi)) == flat + 1
 
     def test_out_of_range_raises(self):
         s = make_state([2, 3], np.arange(1, 7))
@@ -216,7 +212,7 @@ class TestTensor:
 
     def test_basis_kets_compose(self):
         s = tensor(ket([2], [2]), ket([3], [1]))
-        assert s.amps[linear_index((2, 3), (2, 1))] == 1.0
+        assert amplitude(s, (2, 1)) == 1.0
         assert abs(s.norm() - 1.0) == 0.0
 
     def test_three_factors(self):
@@ -232,6 +228,12 @@ class TestTensor:
     def test_no_factor_raises(self):
         with pytest.raises(ShapeError):
             tensor()
+
+    def test_underflowing_product_is_degenerate(self):
+        # Each factor is nonzero, but 1e-200 * 1e-200 underflows to 0.
+        tiny = make_state([1], [1e-200])
+        with pytest.raises(DegenerateStateError):
+            tensor(tiny, tiny)
 
     @settings(max_examples=40)
     @given(st.integers(0, 2**32 - 1))
@@ -261,3 +263,7 @@ class TestPureStateBasics:
     def test_direct_construction_validates(self):
         with pytest.raises(ShapeError):
             PureState((2, 2), np.zeros(3, dtype=complex))
+
+    def test_direct_construction_refuses_all_zero(self):
+        with pytest.raises(DegenerateStateError):
+            PureState((2, 2), np.zeros(4))
