@@ -6,13 +6,13 @@ for square [N, N] states.  After the square sweep comes one [8, 64] state,
 whose 8x64 matricization is the shape of every unfolding of an [8, 8, 8]
 state.  For each size it times concurrence (the sum of squared minors of
 the one cut, by the exact-Gram route: O(N^3)), and, up to N = 64, the
-bare quartic kernel (draining schwarz._minor_chunks on the cut-1
+bare quartic kernel (schwarz._max_minor on every row pair of the cut-1
 matricization) and max_abs_minor on the same matricization (the
 separability certificate's scan, which runs the kernel on the row pairs
 its bounds keep).  It prints the minor count, the best wall time of each,
 their throughput in minors per second (of all minors, also for the max),
-and the share of the minors the max evaluated, counted by wrapping the
-kernel in one extra, untimed call.
+and the share of the minors the max evaluated: the row pairs
+schwarz._bounded_pairs keeps, counted in one extra, untimed call.
 """
 
 import argparse
@@ -23,7 +23,6 @@ import time
 import numpy as np
 
 from qconc import concurrence, make_state, matricize, max_abs_minor, schwarz
-from qconc.schwarz import _minor_chunks
 
 
 # Largest dimension at which the quartic kernel and max_abs_minor are timed.
@@ -39,26 +38,12 @@ def best_time(fn, repeats: int) -> tuple[float, object]:
     return best, result
 
 
-def drain(entries) -> None:
-    for _ in _minor_chunks(entries):
-        pass
-
-
-def evaluated_by_max(mat) -> int:
-    """Minors the kernel evaluates for max_abs_minor(mat)."""
-    sizes = []
-
-    def counting(entries, pairs=None):
-        for re, im in _minor_chunks(entries, pairs):
-            sizes.append(re.size)
-            yield re, im
-
-    schwarz._minor_chunks = counting
-    try:
-        max_abs_minor(mat)
-    finally:
-        schwarz._minor_chunks = _minor_chunks
-    return sum(sizes)
+def evaluated_share(mat) -> float:
+    """Share of the minors the kernel evaluates for max_abs_minor(mat):
+    every minor of each row pair its bounds keep."""
+    pairs = math.comb(max(mat.shape), 2)
+    kept = schwarz._bounded_pairs(mat)
+    return 1.0 if kept is None else kept[0].size / pairs
 
 
 def main() -> int:
@@ -85,9 +70,9 @@ def main() -> int:
         sum_s, report = best_time(lambda: concurrence(state), args.repeats)
         kernel, maximum = f"{'-':>9} {'-':>15}", f"{'-':>9} {'-':>13} {'-':>9}"
         if max(rows, cols) <= QUARTIC_LIMIT:
-            kernel_s, _ = best_time(lambda: drain(mat), args.repeats)
+            kernel_s, _ = best_time(lambda: schwarz._max_minor(mat), args.repeats)
             max_s, _ = best_time(lambda: max_abs_minor(mat), args.repeats)
-            share = evaluated_by_max(mat) / minors
+            share = evaluated_share(mat)
             kernel = f"{kernel_s:>9.4f} {minors / kernel_s:>15.3e}"
             maximum = f"{max_s:>9.4f} {minors / max_s:>13.3e} {share:>9.1%}"
         print(

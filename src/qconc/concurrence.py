@@ -136,6 +136,13 @@ def _rank_one_factors(
     )
 
 
+def _check_tolerance(tolerance) -> float:
+    tolerance = float(tolerance)
+    if not tolerance > 0.0:
+        raise ValueError(f"tolerance must be positive, got {tolerance}")
+    return tolerance
+
+
 def _check_budget(state: PureState, cut: Cut) -> None:
     """WorkBudgetError if the cut has more than MAX_CERTIFICATE_MINORS minors."""
     rows = state.dims[cut - 1] if 1 <= cut <= state.subsystem_count else 1
@@ -160,9 +167,7 @@ def is_separable_cut(
     reported max_abs_minor is scaled back (inf beyond the double range).
     Factors are attached exactly when separable.
     """
-    tolerance = float(tolerance)
-    if not tolerance > 0.0:
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
+    tolerance = _check_tolerance(tolerance)
     if state.subsystem_count < 2:
         raise ArityError("separability across a cut needs at least 2 subsystems")
     _check_budget(state, cut)
@@ -216,9 +221,12 @@ def full_separability(
     separable one is factored off and the remainder is re-tested from
     scratch.  The state is fully separable iff this extracts one factor per
     subsystem.  For exact product states the greedy order does not affect
-    the verdict; it only fixes which certificates are reported.  Cuts over
-    the work budget, checked on the input, are refused before normalizing.
+    the verdict; it only fixes which certificates are reported.  The
+    tolerance is checked first, as in is_separable_cut, even where one
+    subsystem leaves no cut to test.  Cuts over the work budget, checked on
+    the input, are refused before normalizing.
     """
+    tolerance = _check_tolerance(tolerance)
     for cut in range(1, state.subsystem_count + 1):
         _check_budget(state, cut)
     current = normalize(state)

@@ -11,11 +11,11 @@ into a rows-by-rest coefficient matrix, and the squared moduli of all its 2x2
 minors measure how far the rows are from mutual parallelism, i.e. how far the
 cut is from being separable.
 
-Determinism contract: the kernel evaluates minors in bounded chunks, per
-block of row pairs and by column offset, in the order of a scalar complex
-product, so every minor equals ``M[a,c] * M[b,d] - M[a,d] * M[b,c]`` bit
-for bit and those of M.T equal those of M; the largest modulus does not
-depend on the order.  The sum of squared minors takes the Gram route
+Determinism contract: the kernel evaluates minors per block of row pairs
+and column offset, in the order of a scalar complex product, so every
+|minor| equals ``abs(M[a,c] * M[b,d] - M[a,d] * M[b,c])`` bit for bit and
+those of M.T equal those of M; the largest modulus does not depend on the
+order.  The sum of squared minors takes the Gram route
 (minor_sum_sq), whose bits do not depend on BLAS or its threads.
 """
 
@@ -24,16 +24,16 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
 from .errors import InternalConsistencyError, NonFiniteError, ShapeError
 from .states import Cut, PureState
 
-# Minors per kernel chunk and at most per step: about 0.75 MiB of arrays
-# whatever the shape.  Smaller steps pay more numpy overhead per call,
-# larger ones fall out of the CPU caches.
+# Minors per kernel step, or one offset of one row pair if that is longer:
+# about 0.75 MiB of arrays.  Smaller steps pay more numpy overhead per
+# call, larger ones fall out of the CPU caches.
 _CHUNK = 1 << 13
 
 # Gram route: Veltkamp's splitter, slice products per tile, error bound.
@@ -41,7 +41,7 @@ _SPLIT = float((1 << 27) + 1)
 _TILE = 1 << 17
 _BOUND = 2.0**-90
 
-# Candidates for a chunk's largest |minor|: re*re + im*im within this factor
+# Candidates for a step's largest |minor|: re*re + im*im within this factor
 # of the largest.  It is within a few ulps of |minor|^2 (while normal) and
 # hypot within one ulp of |minor|, so no minor outside the band wins.
 _BAND = 1.0 - 2.0**-40
@@ -98,36 +98,34 @@ def _pair_block(n: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
     return i, j
 
 
-def _minor_chunks(entries: np.ndarray, pairs=None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield (re, im) chunks holding each minor of row pairs (a, b) = pairs (or all) once.
+def _max_minor(entries: np.ndarray, pairs=None) -> float:
+    """Largest |minor| of row pairs (a, b) = pairs (or all); NaN if any is NaN.
 
-    re and im are fresh 1-D arrays of at most _CHUNK minors.  A wide
-    matrix is read as its transpose (same minors bit for bit: IEEE products
-    and sums commute), and ``pairs`` index its rows.  A block of row pairs
-    is gathered once, column-major, with columns 0..cols-2 again after the
-    last.  The minors of columns c and c + s, A[c] B[c+s] - A[c+s] B[c],
-    come for all c from contiguous slices; past the last column these
-    reach columns (c + s - cols, c), whose minor is q - p, so offsets
-    s <= cols/2 cover all.  Each step is
-    CPython's complex arithmetic, one rounding per elementwise operation
-    (einsum/dot/matmul may fuse or reorder), into buffers reused per call.
+    A wide matrix is read as its transpose (same minors bit for bit: IEEE
+    products and sums commute), and ``pairs`` index its rows.  A block of
+    row pairs is gathered once, column-major, with columns 0..cols-2 again
+    after the last.  One step is one offset s of one block: the minors of
+    columns c and c + s, A[c] B[c+s] - A[c+s] B[c], for all c from
+    contiguous slices.  Past the last column these reach columns
+    (c + s - cols, c) and give that minor negated, of the same modulus, so
+    offsets s <= cols/2 cover all.  Each step is CPython's complex
+    arithmetic, one rounding per elementwise operation (einsum/dot/matmul
+    may fuse or reorder), into four rows reused per call, and is reduced
+    to its own largest modulus by _max_modulus.
     """
     if entries.shape[0] < entries.shape[1]:
         entries = entries.T
     nr, nc = entries.shape
     count = nr * (nr - 1) // 2 if pairs is None else pairs[0].size
     if nc < 2:
-        return
+        return 0.0
     parts = np.empty((2, nc, nr))
     parts[0] = entries.real.T
     parts[1] = entries.imag.T
     k = min(count, max(1, _CHUNK // nc))  # row pairs per block
-    span = min(nc, _CHUNK // k)  # columns per step
-    scratch = np.empty((2, span * k))
     block_buf = np.empty(4 * (2 * nc - 1) * k)
-    remaining = count * (nc * (nc - 1) // 2)
-    out = np.empty((2, 0))
-    pos = 0
+    scratch = np.empty((4, nc * k))
+    peak = 0.0
     for start in range(0, count, k):
         stop = min(start + k, count)
         a, b = _pair_block(nr, start, stop) if pairs is None else (p[start:stop] for p in pairs)
@@ -138,45 +136,31 @@ def _minor_chunks(entries: np.ndarray, pairs=None) -> Iterator[tuple[np.ndarray,
         block[:, nc:] = block[:, : nc - 1]
         ar, ai, br, bi = block.reshape(4, -1)
         for s in range(1, nc // 2 + 1):
-            width = nc if 2 * s < nc else s  # offset cols/2 has no wrapped part
-            for c0 in range(0, width, span):
-                m = min(span, width - c0) * kk
-                if pos + m > out.shape[1]:
-                    if pos:
-                        yield out[0, :pos], out[1, :pos]
-                    remaining -= pos
-                    out = np.empty((2, min(_CHUNK, remaining)))
-                    pos = 0
-                x, y = c0 * kk, (c0 + s) * kk
-                acr, aci, bcr, bci = ar[x : x + m], ai[x : x + m], br[x : x + m], bi[x : x + m]
-                adr, adi, bdr, bdi = ar[y : y + m], ai[y : y + m], br[y : y + m], bi[y : y + m]
-                re, im = out[0, pos : pos + m], out[1, pos : pos + m]  # p, then the minor
-                q, tmp = scratch[:, :m]
-                w = min(m, max(0, (nc - s - c0) * kk))  # minors with c + s < cols
-                np.multiply(acr, bdr, out=re)
-                np.multiply(aci, bdi, out=tmp)
-                np.subtract(re, tmp, out=re)
-                np.multiply(adr, bcr, out=q)
-                np.multiply(adi, bci, out=tmp)
-                np.subtract(q, tmp, out=q)
-                _subtract_wrapped(re, q, w)
-                np.multiply(acr, bdi, out=im)
-                np.multiply(aci, bdr, out=tmp)
-                np.add(im, tmp, out=im)
-                np.multiply(adr, bci, out=q)
-                np.multiply(adi, bcr, out=tmp)
-                np.add(q, tmp, out=q)
-                _subtract_wrapped(im, q, w)
-                pos += m
-    if pos:
-        yield out[0, :pos], out[1, :pos]
-
-
-def _subtract_wrapped(p: np.ndarray, q: np.ndarray, w: int) -> None:
-    """p - q in place for the first w minors of a step, q - p past them."""
-    np.subtract(p[:w], q[:w], out=p[:w])
-    if w < p.size:
-        np.subtract(q[w:], p[w:], out=p[w:])
+            m = (nc if 2 * s < nc else s) * kk  # offset cols/2 has no wrapped part
+            y = s * kk
+            acr, aci, bcr, bci = ar[:m], ai[:m], br[:m], bi[:m]
+            adr, adi, bdr, bdi = ar[y : y + m], ai[y : y + m], br[y : y + m], bi[y : y + m]
+            re, im, q, tmp = scratch[:, :m]  # p, then the minor
+            np.multiply(acr, bdr, out=re)
+            np.multiply(aci, bdi, out=tmp)
+            np.subtract(re, tmp, out=re)
+            np.multiply(adr, bcr, out=q)
+            np.multiply(adi, bci, out=tmp)
+            np.subtract(q, tmp, out=q)
+            np.subtract(re, q, out=re)
+            np.multiply(acr, bdi, out=im)
+            np.multiply(aci, bdr, out=tmp)
+            np.add(im, tmp, out=im)
+            np.multiply(adr, bci, out=q)
+            np.multiply(adi, bcr, out=tmp)
+            np.add(q, tmp, out=q)
+            np.subtract(im, q, out=im)
+            top = _max_modulus(re, im, q)
+            if not top <= peak:
+                if math.isnan(top):
+                    return math.nan
+                peak = top
+    return peak
 
 
 def _as_entries(mat) -> np.ndarray:
@@ -188,25 +172,21 @@ def _as_entries(mat) -> np.ndarray:
     return entries
 
 
-def _max_modulus(chunks: Iterable[tuple[np.ndarray, np.ndarray]]) -> float:
-    """Largest hypot(re, im) over all chunks, equal to a full hypot scan.
+def _max_modulus(re: np.ndarray, im: np.ndarray, sq: np.ndarray) -> float:
+    """Largest hypot(re, im), equal to a full hypot scan; sq is scratch.
 
-    Per chunk, hypot runs only on the candidates in _BAND of the largest
-    re*re + im*im, or on the whole chunk when that is zero, subnormal, inf
-    or NaN (so a NaN part still gives NaN).
+    hypot runs only on the candidates in _BAND of the largest re*re +
+    im*im, or on all when that is zero, subnormal, inf or NaN (so a NaN
+    part still gives NaN).
     """
-    peaks = []
-    for re, im in chunks:
-        with np.errstate(over="ignore"):
-            sq = re * re
-            sq += im * im
-        top = sq.max()
-        if _TINY <= top < math.inf:
-            keep = sq >= top * _BAND
-            peaks.append(np.hypot(re[keep], im[keep]).max())
-        else:
-            peaks.append(np.hypot(re, im).max())
-    return float(np.max(peaks, initial=0.0))
+    with np.errstate(over="ignore"):
+        np.multiply(re, re, out=sq)
+        sq += im * im
+    top = sq.max()
+    if _TINY <= top < math.inf:
+        keep = sq >= top * _BAND
+        return float(np.hypot(re[keep], im[keep]).max())
+    return float(np.hypot(re, im).max())
 
 
 def minor_sum_sq(mat) -> float:
@@ -333,7 +313,7 @@ def max_abs_minor(mat) -> float:
     the row pairs _bounded_pairs keeps are scanned, with the full scan's bits.
     """
     entries = _as_entries(mat)
-    return _max_modulus(_minor_chunks(entries, _bounded_pairs(entries)))
+    return _max_minor(entries, _bounded_pairs(entries))
 
 
 def _bounded_pairs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -369,7 +349,7 @@ def _bounded_pairs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     if seem.max() <= smallest:  # no bound is below L
         return None
     seed = x[rows[index[::2, seem.argmax()] // (2 * rows.size)]]  # kernel reads it nc x 2
-    low = _max_modulus(_minor_chunks(seed)) * _BAND
+    low = _max_minor(seed) * _BAND
     if not 2.0**-1000 <= low < math.inf or low <= smallest:
         return None
     a, b = (_pair_block if total <= _CHUNK else _pair_block.__wrapped__)(nr, 0, total)

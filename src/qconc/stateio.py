@@ -130,6 +130,8 @@ class SamplerSpec:
         if self.kind not in SAMPLER_KINDS:
             raise ValueError(f"unknown sampler kind {self.kind!r}; expected one of {SAMPLER_KINDS}")
         try:
+            if isinstance(self.seed, bool):
+                raise TypeError
             seed = operator.index(self.seed)
         except TypeError:
             raise ValueError(f"seed must be an integer, got {self.seed!r}") from None

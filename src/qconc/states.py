@@ -81,8 +81,11 @@ class PureState:
 
 def check_dims(dims) -> tuple[int, ...]:
     """dims as a nonempty tuple of positive ints (numpy integers pass);
-    ShapeError for anything else, including a non-integral float."""
+    ShapeError for anything else, including a bool or a non-integral float."""
     try:
+        dims = tuple(dims)
+        if any(isinstance(d, bool) for d in dims):
+            raise TypeError
         dims = tuple(map(operator.index, dims))
     except TypeError:
         raise ShapeError(f"dims must be integers, got {dims}") from None

@@ -283,6 +283,16 @@ class TestFullsepCommand:
         assert doc["remainder_subsystems"] == [1, 2, 3]
 
 
+    @pytest.mark.parametrize("tol", ["-0.5", "0"])
+    def test_bad_tolerance_on_one_subsystem_is_input_error(self, capsys, tmp_path, tol):
+        path = tmp_path / "one.json"
+        path.write_text(emit_state(ket([3], [1])), encoding="utf-8")
+        code, out, err = run_cli(capsys, "fullsep", "--state", str(path), f"--tol={tol}")
+        assert code == 2
+        assert out == ""
+        assert "tolerance must be positive" in err
+
+
 class TestParameterEcho:
     """``parameters`` holds the subcommand's flags in declaration order, on
     success and on a domain error (exit 1) alike."""
@@ -445,6 +455,24 @@ class TestUsageContract:
         code, out, _ = run_cli(capsys, "--version")
         assert code == 0
         assert __version__ in out
+
+    @pytest.mark.parametrize(
+        "flag, argv",
+        [
+            ("--tol", ["separability", "--tol", "-1e-3"]),
+            ("--tol", ["fullsep", "--tol", "-inf"]),
+            ("--tol", ["factorize", "--cut", "1", "--tol", "-1e-3"]),
+            ("--normalization", ["concurrence", "--normalization", "-1e-3"]),
+        ],
+    )
+    def test_separate_signed_value_is_usage_error(self, capsys, bell_file, flag, argv):
+        # argparse reads "-1e-3" and "-inf" after a space as flags, so the
+        # option has no argument; --tol=-1e-3 reaches the flag's own check.
+        code, out, err = run_cli(capsys, *argv, "--state", bell_file)
+        assert code == 2
+        assert out == ""
+        assert f"argument {flag}: expected one argument" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "flag, argv",

@@ -357,6 +357,14 @@ class TestFactorizeCut:
 
 
 class TestFullSeparability:
+    @pytest.mark.parametrize("tolerance", [math.nan, -0.5, 0.0, -math.inf])
+    def test_bad_tolerance_rejected_on_one_subsystem(self, tolerance):
+        # No cut is tested, yet the tolerance is checked as is_separable_cut does.
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            full_separability(make_state([3], [1, 0, 0]), tolerance=tolerance)
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            is_separable_cut(bell_state(), 1, tolerance=tolerance)
+
     def test_basis_state_fully_separable(self):
         result = full_separability(ket([2, 3, 2], [1, 2, 1]))
         assert result.fully_separable
@@ -512,10 +520,10 @@ class TestCertificateBudget:
 
 
 def test_no_concurrence_path_runs_the_quartic_kernel(monkeypatch):
-    def refuse(entries):
+    def refuse(entries, pairs=None):
         raise AssertionError("the minor kernel ran")
 
-    monkeypatch.setattr(sys.modules["qconc.schwarz"], "_minor_chunks", refuse)
+    monkeypatch.setattr(sys.modules["qconc.schwarz"], "_max_minor", refuse)
     for dims, seed in [((2, 2), 1), ((2, 2, 2), 2), ((3, 4), 3), ((8, 8, 8), 4)]:
         s = sample_state(SamplerSpec(dims, "haar", seed))
         assert concurrence(s).value ** 2 == pytest.approx(oracle_concurrence(s) ** 2, abs=1e-10)

@@ -251,11 +251,11 @@ class TestMatricize:
 
 
 class TestEnumerateMinors:
-    """Every minor of a matrix, as the kernel yields it: counts by math.comb,
-    values against the determinant definition."""
+    """Every minor of a matrix, as the kernel reduces it: counts by math.comb,
+    moduli of the parts against the determinant definition."""
 
     def test_identity_2x2(self):
-        assert _kernel_minor_bits(np.eye(2)) == [_bits(1.0 + 0j)]
+        assert _kernel_minor_bits(np.eye(2)) == [_abs_bits(1.0 + 0j)]
 
     def test_2x4_has_six_terms(self):
         rng = np.random.default_rng(3)
@@ -280,14 +280,14 @@ class TestEnumerateMinors:
         rng = np.random.default_rng(11)
         m = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
         want = [
-            _bits(m[a, c] * m[b, d] - m[a, d] * m[b, c])
+            _abs_bits(m[a, c] * m[b, d] - m[a, d] * m[b, c])
             for (a, b), (c, d) in product(combinations(range(4), 2), combinations(range(5), 2))
         ]
         assert _kernel_minor_bits(m) == sorted(want)
 
     def test_accepts_matricization(self):
         mat = matricize(bell_state(), 1)
-        assert _kernel_minor_bits(mat) == [_bits(complex(SQ2 * SQ2))]
+        assert _kernel_minor_bits(mat) == [_abs_bits(complex(SQ2 * SQ2))]
         assert max_abs_minor(mat) == pytest.approx(0.5)
 
     def test_degenerate_shapes_empty(self):
@@ -375,9 +375,11 @@ def _scalar_minor_values(entries):
                     yield a, b, c, d, rac * rb[d] - ra[d] * rbc
 
 
-def _bits(z):
-    # float.hex tells -0.0 from 0.0, which == does not.
-    return z.real.hex(), z.imag.hex()
+def _abs_bits(z):
+    # The kernel's wrapped minors come out negated (q - p for p - q), and
+    # even a zero minor's sign differs between the two: the bits of |re|
+    # and |im| are what it shares with the scalar loop.
+    return abs(z.real).hex(), abs(z.imag).hex()
 
 
 def _minor_count(m):
@@ -426,7 +428,7 @@ def _assert_matches_reference(corpus):
                 ref_max = abs(v)
         if max_abs_minor(m) != ref_max:
             mismatches.append(("max_abs_minor", name))
-        if _kernel_minor_bits(m) != sorted(_bits(v) for *_, v in ref):
+        if _kernel_minor_bits(m) != sorted(_abs_bits(v) for *_, v in ref):
             mismatches.append(("kernel", name))
     assert mismatches == []
 
@@ -449,7 +451,7 @@ class TestKernelMatchesScalarReference:
 
     def test_corpus_covers_signed_zero_minors(self):
         # The signed-zero matrices must actually produce -0.0 parts, or the
-        # bit comparison above would not test them.
+        # comparison above would not see the kernel on them (as |re| = 0).
         values = [
             v
             for name, m in DIFFERENTIAL_CORPUS
@@ -478,17 +480,37 @@ def _small(corpus):
 _WIDE = ("gauss8x64#0", "zeros_t64x8#0")
 
 
-def _kernel_minor_bits(m):
-    """Sorted (re, im) bits of every minor the kernel yields for m."""
+def _recorded_steps(call):
+    """(call(), copies of the (re, im) of every step the kernel reduced in
+    it), recorded by wrapping schwarz._max_modulus."""
+    steps = []
+    reduce = schwarz._max_modulus
+
+    def recording(re, im, sq):
+        steps.append((re.copy(), im.copy()))
+        return reduce(re, im, sq)
+
+    with mock.patch.object(schwarz, "_max_modulus", recording):
+        value = call()
+    return value, steps
+
+
+def _kernel_steps(m, pairs=None):
+    """The (re, im) of every step of the kernel on row pairs ``pairs`` of m."""
+    return _recorded_steps(lambda: schwarz._max_minor(schwarz._as_entries(m), pairs))[1]
+
+
+def _kernel_minor_bits(m, pairs=None):
+    """Sorted (|re|, |im|) bits of every minor the kernel reduces for m."""
     return sorted(
-        (x.hex(), y.hex())
-        for re, im in schwarz._minor_chunks(m)
+        (abs(x).hex(), abs(y).hex())
+        for re, im in _kernel_steps(m, pairs)
         for x, y in zip(re.tolist(), im.tolist())
     )
 
 
 class TestKernelOffsetLayout:
-    """What the offset kernel relies on: exact transposition and bounded chunks."""
+    """What the offset kernel relies on: exact transposition and bounded steps."""
 
     @pytest.mark.parametrize("chunk", [None, 100, 7, 1])
     def test_transpose_gives_same_bits(self, monkeypatch, chunk):
@@ -501,7 +523,8 @@ class TestKernelOffsetLayout:
     @pytest.mark.parametrize("chunk", [None, 100, 7, 1])
     def test_every_minor_once_in_either_orientation(self, monkeypatch, chunk):
         # The kernel reads a wide matrix as its transpose; the scalar minors
-        # of m and of m.T must both be exactly what it yields, as multisets.
+        # of m and of m.T must both be exactly what it reduces, as multisets
+        # of part moduli.
         if chunk is not None:
             monkeypatch.setattr(schwarz, "_CHUNK", chunk)
         corpus = _small(DIFFERENTIAL_CORPUS)
@@ -510,33 +533,32 @@ class TestKernelOffsetLayout:
         for name, m in corpus:
             got = _kernel_minor_bits(m)
             for ref in (m, m.T):
-                assert got == sorted(_bits(v) for *_, v in _scalar_minor_values(ref)), name
+                assert got == sorted(_abs_bits(v) for *_, v in _scalar_minor_values(ref)), name
 
     @pytest.mark.parametrize(
         "shape, chunk",
         [((9, 9), 7), ((9, 9), 1), ((9, 9), 100), ((8, 64), 100), ((64, 8), 7), ((3, 40), 16)],
     )
     def test_chunks_hold_at_most_chunk_minors(self, monkeypatch, shape, chunk):
-        # At (9, 9) and _CHUNK = 7 one row pair's offset-1 slice (9 columns,
-        # with its wrapped part) is longer than a chunk and must be split.
+        # A step is one offset of one block of row pairs: at most _CHUNK
+        # minors, or one row pair's offset (cols of the tall read, with its
+        # wrapped part) when that is longer, as at (9, 9) and _CHUNK = 7.
         monkeypatch.setattr(schwarz, "_CHUNK", chunk)
         rng = np.random.default_rng(sum(shape) * chunk)
         m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         sizes = []
-        for re, im in schwarz._minor_chunks(m):
+        for re, im in _kernel_steps(m):
             assert re.shape == im.shape == (re.size,)
             sizes.append(re.size)
-        assert 0 < min(sizes) and max(sizes) <= chunk
+        assert 0 < min(sizes) and max(sizes) <= max(chunk, min(shape))
         assert sum(sizes) == _minor_count(m)
 
 
 def _full_scan_reference(m):
-    """The full np.hypot scan over every minor, at the default step."""
-    parts = [(re.ravel(), im.ravel()) for *_, re, im in schwarz._minor_chunks(m)]
-    re = np.concatenate([p[0] for p in parts] or [np.zeros(0)])
-    im = np.concatenate([p[1] for p in parts] or [np.zeros(0)])
+    """The full np.hypot scan over every scalar minor."""
+    minors = np.array([v for *_, v in _scalar_minor_values(m)], dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.max(np.hypot(re, im), initial=0.0))
+        return float(np.max(np.hypot(minors.real, minors.imag), initial=0.0))
 
 
 def _assert_reductions_match_full_scan(m):
@@ -601,11 +623,13 @@ class TestReductionsMatchFullScan:
         ids=["ties", "order", "subnormal-order", "square-overflow", "tiny", "nan", "inf-nan", "zeros"],
     )
     def test_max_modulus_chunks(self, re, im):
+        # Each step's reduction, on steps of 1, 2 and all of the values.
         re, im = np.array(re), np.array(im)
-        want = float(np.hypot(re, im).max())
         for k in (1, 2, len(re)):
-            chunks = [(re[i : i + k], im[i : i + k]) for i in range(0, len(re), k)]
-            assert schwarz._max_modulus(chunks).hex() == want.hex()
+            for i in range(0, len(re), k):
+                r, j = re[i : i + k], im[i : i + k]
+                want = float(np.hypot(r, j).max())
+                assert schwarz._max_modulus(r, j, np.empty(r.size)).hex() == want.hex()
 
 
 def _exact_sum(m):
@@ -836,8 +860,8 @@ def test_bits_do_not_depend_on_blas_threads():
 
 
 def _all_pairs_max(m):
-    """The unchanged all-pairs call: _max_modulus over every kernel chunk."""
-    return schwarz._max_modulus(schwarz._minor_chunks(schwarz._as_entries(m)))
+    """The unpruned call: the kernel on every row pair."""
+    return schwarz._max_minor(schwarz._as_entries(m))
 
 
 def _kron(*vectors):
@@ -975,27 +999,15 @@ class TestPrunedMaxMatchesAllPairs:
             monkeypatch.setattr(schwarz, "_CHUNK", chunk)
         m = _gaussian(np.random.default_rng(8), 4, 6)
         a, b = np.array([0, 0, 2, 1]), np.array([5, 1, 3, 4])
-        got = sorted((x.hex(), y.hex()) for re, im in schwarz._minor_chunks(m, (a, b))
-                     for x, y in zip(re.tolist(), im.tolist()))
-        want = sorted(_bits(v) for i, j in zip(a, b)
+        want = sorted(_abs_bits(v) for i, j in zip(a, b)
                       for *_, v in _scalar_minor_values(m.T[[i, j]]))
-        assert got == want
+        assert _kernel_minor_bits(m, (a, b)) == want
 
 
-def _evaluated(monkeypatch, m):
+def _evaluated(m):
     """(max_abs_minor(m), minors the kernel evaluated for it)."""
-    sizes = []
-    kernel = schwarz._minor_chunks
-
-    def counting(entries, pairs=None):
-        for re, im in kernel(entries, pairs):
-            sizes.append(re.size)
-            yield re, im
-
-    with monkeypatch.context() as patch:
-        patch.setattr(schwarz, "_minor_chunks", counting)
-        value = max_abs_minor(m)
-    return value, sum(sizes)
+    value, steps = _recorded_steps(lambda: max_abs_minor(m))
+    return value, sum(re.size for re, _ in steps)
 
 
 class TestPruningWork:
@@ -1003,14 +1015,14 @@ class TestPruningWork:
     cuts, every minor on product cuts (the documented limit)."""
 
     @pytest.mark.parametrize("dims", [(32, 32), (8, 64)])
-    def test_haar_cuts_evaluate_under_half(self, monkeypatch, dims):
+    def test_haar_cuts_evaluate_under_half(self, dims):
         for seed in range(4):
             rng = np.random.default_rng(seed)
             state = make_state(list(dims), _gaussian(rng, math.prod(dims)))
             amps, _ = peak_scaled(state)  # the cut as is_separable_cut sees it
             for cut in (1, 2):
                 mat = matricize(make_state(list(dims), amps), cut)
-                value, evaluated = _evaluated(monkeypatch, mat)
+                value, evaluated = _evaluated(mat)
                 assert value.hex() == _all_pairs_max(mat).hex()
                 assert evaluated < _minor_count(mat) / 2, (seed, cut)
 
@@ -1029,8 +1041,8 @@ class TestPruningWork:
                 total += pairs
         assert kept / total <= 1.5 * measured
 
-    def test_product_cut_evaluates_every_minor(self, monkeypatch):
+    def test_product_cut_evaluates_every_minor(self):
         rng = np.random.default_rng(3)
         state = make_state([8, 8, 8], _kron(*(_gaussian(rng, 8) for _ in range(3))))
         mat = matricize(make_state([8, 8, 8], peak_scaled(state)[0]), 1)
-        assert _evaluated(monkeypatch, mat)[1] == _minor_count(mat)
+        assert _evaluated(mat)[1] == _minor_count(mat)

@@ -203,6 +203,14 @@ class TestSamplerSpec:
         with pytest.raises(ValueError, match="seed"):
             SamplerSpec((2, 2), "haar", 1.7)
 
+    def test_boolean_dims_and_seed_rejected(self):
+        with pytest.raises(ShapeError):
+            SamplerSpec((True, True), "basis", 0)
+        with pytest.raises(ValueError, match="seed"):
+            SamplerSpec((2, 2), "basis", True)
+        with pytest.raises(ValueError, match="seed"):
+            SamplerSpec((2,), "haar", False)
+
     def test_numpy_integers_accepted(self):
         spec = SamplerSpec((np.int64(2), np.uint8(3)), "haar", np.uint64(2**64 - 1))
         assert spec.dims == (2, 3) and spec.seed == 2**64 - 1

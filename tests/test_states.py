@@ -61,6 +61,13 @@ class TestMakeState:
         with pytest.raises(ShapeError):
             make_state(["2", 2], [1, 0, 0, 1])
 
+    def test_boolean_dims_raise(self):
+        # bool is an int subclass: (True, 2) would build dims (1, 2).
+        with pytest.raises(ShapeError):
+            make_state((True, 2), [1, 0])
+        with pytest.raises(ShapeError):
+            make_state([2, False], [1, 0])
+
     def test_numpy_integer_dims_accepted(self):
         s = make_state(np.array([2, 2]), [1, 0, 0, 1])
         assert s.dims == (2, 2) and all(type(d) is int for d in s.dims)
