@@ -4,9 +4,11 @@
 The minor count is C(N,2) * C(M,2), i.e. quartic in the subsystem dimension
 for square [N, N] states.  After the square sweep comes one [8, 64] state,
 whose 8x64 matricization is the shape of every unfolding of an [8, 8, 8]
-state.  For each size it times concurrence (the sum of squared minors of
-the one cut, by the exact-Gram route: O(N^3)), and, up to N = 64, the
-bare quartic kernel (schwarz._max_minor on every row pair of the cut-1
+state, then a near-product [8, 64] state u (x) v + 1e-4 u' (x) v' (rank 2,
+u' orthogonal to u, v' to v; marked *), on which the Schur bound of the
+pivot does the pruning.  For each state it times concurrence (the sum of
+squared minors of the one cut, by the exact-Gram route: O(N^3)), and, up
+to N = 64, the bare quartic kernel (schwarz._max_minor on every row pair of the cut-1
 matricization) and max_abs_minor on the same matricization (the
 separability certificate's scan, which runs the kernel on the row pairs
 its bounds keep).  It prints the minor count, the best wall time of each,
@@ -46,6 +48,18 @@ def evaluated_share(mat) -> float:
     return 1.0 if kept is None else kept[0].size / pairs
 
 
+def near_product(rng, rows: int, cols: int) -> np.ndarray:
+    """u (x) v + 1e-4 u' (x) v', unit vectors with u' orthogonal to u, v' to v."""
+    pairs = []
+    for n in (rows, cols):
+        u, z = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+        u /= np.linalg.norm(u)
+        z -= np.vdot(u, z) * u
+        pairs.append((u, z / np.linalg.norm(z)))
+    (u, u2), (v, v2) = pairs
+    return np.kron(u, v) + 1e-4 * np.kron(u2, v2)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -61,10 +75,13 @@ def main() -> int:
         f"{'sum s':>9} {'sum minors/s':>13} {'max s':>9} {'max minors/s':>13} {'max share':>9} "
         f"{'value':>9}"
     )
-    for rows, cols in [(n, n) for n in args.dims] + [(8, 64)]:
+    for rows, cols, near in [(n, n, False) for n in args.dims] + [(8, 64, False), (8, 64, True)]:
         rng = np.random.default_rng(args.seed)
         size = rows * cols
-        state = make_state([rows, cols], rng.standard_normal(size) + 1j * rng.standard_normal(size))
+        amps = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        if near:
+            amps = near_product(rng, rows, cols)
+        state = make_state([rows, cols], amps)
         mat = matricize(state, 1)
         minors = math.comb(rows, 2) * math.comb(cols, 2)
         sum_s, report = best_time(lambda: concurrence(state), args.repeats)
@@ -76,7 +93,7 @@ def main() -> int:
             kernel = f"{kernel_s:>9.4f} {minors / kernel_s:>15.3e}"
             maximum = f"{max_s:>9.4f} {minors / max_s:>13.3e} {share:>9.1%}"
         print(
-            f"[{rows:>3},{cols:>3}] {minors:>10} {kernel} "
+            f"[{rows:>3},{cols:>3}]{'*' if near else ' '}{minors:>10} {kernel} "
             f"{sum_s:>9.4f} {minors / sum_s:>13.3e} {maximum} {report.value:>9.5f}"
         )
     return 0

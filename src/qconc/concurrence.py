@@ -21,15 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArityError, CertificateError, WorkBudgetError
-from .schwarz import matricize, max_abs_minor, minor_sum_sq
+from .errors import ArityError, CertificateError, InternalConsistencyError, WorkBudgetError
+from .schwarz import _BOUND, _U, _pivot_minors, matricize, max_abs_minor, minor_sum_sq
 from .states import Cut, PureState, normalize, peak_scaled
 
 DEFAULT_NORMALIZATION = 4.0
 DEFAULT_TOLERANCE = 1e-9
 
-# Most minors of a certificate's cut, all counted (product cuts prune none):
-# about 20 s of the kernel at 5e7 minors/s.  The largest benchmark cut, [32,32],
+# Most minors of a certificate's cut, all counted (exact product cuts prune
+# none): about 20 s of the kernel at 5e7 minors/s.  The largest benchmark cut, [32,32],
 # has 2.5e5; a [32,32,32] cut 2.6e8; [256,256] (1.07e9) and up are refused.
 MAX_CERTIFICATE_MINORS = 10**9
 
@@ -212,6 +212,37 @@ def factorize_cut(
     return cert.factors
 
 
+def _decided(entries: np.ndarray, nrm: float, tolerance: float) -> bool | None:
+    """The verdict is_separable_cut gives on a peak_scaled unfolding (of
+    Frobenius norm nrm), where a bound settles it without the scan: False
+    if the minors through the pivot prove entanglement, True if the minor
+    sum proves separability, else None.
+
+    scale = P^2, P the peak modulus, as is_separable_cut takes it.  The
+    kernel's largest |minor| is at least the largest through the pivot
+    less 29u P^2 (_pivot_minors; u = 2**-53), so that largest less 64u P^2
+    (rounded by at most 2u P^2) above the limit makes the scan's verdict
+    entangled.  Otherwise the minor sum is within 2**-90 ||M||_F^4 of the
+    exact sum plus one rounding, and its root bounds every exact |minor|,
+    which the kernel's differs from by at most 20u P^2.  (1 + 8u) covers
+    the rounding of the sum, the root and the product (nrm^4's, at most
+    2n u relative for n terms, moves the root by far less than the spare
+    40u P^2); 64u P^2 covers the kernel and the last addition (the limit
+    is at most 4 P^2, or every cut is separable).  So (1 + 8u)
+    sqrt(sum + 2**-90 nrm^4) + 64u P^2 at or below the limit makes it
+    separable.
+    """
+    peak, top, _, _ = _pivot_minors(entries)
+    scale = peak**2
+    limit = tolerance * scale
+    if top - 64 * _U * scale > limit:
+        return False
+    total = minor_sum_sq(entries)
+    if (1 + 8 * _U) * math.sqrt(total + _BOUND * nrm**4) + 64 * _U * scale <= limit:
+        return True
+    return None
+
+
 def full_separability(
     state: PureState, tolerance: float = DEFAULT_TOLERANCE
 ) -> FullSeparabilityResult:
@@ -221,8 +252,10 @@ def full_separability(
     separable one is factored off and the remainder is re-tested from
     scratch.  The state is fully separable iff this extracts one factor per
     subsystem.  For exact product states the greedy order does not affect
-    the verdict; it only fixes which certificates are reported.  The
-    tolerance is checked first, as in is_separable_cut, even where one
+    the verdict; it only fixes which certificates are reported.  Each
+    verdict is is_separable_cut's; the scan runs only where _decided
+    leaves it open, or for the certificates reported when no cut splits.
+    The tolerance is checked first, as in is_separable_cut, even where one
     subsystem leaves no cut to test.  Cuts over the work budget, checked on
     the input, are refused before normalizing.
     """
@@ -233,20 +266,33 @@ def full_separability(
     ids = list(range(1, state.subsystem_count + 1))
     factors: list[tuple[int, PureState]] = []
     while len(ids) > 1:
-        certificates = []
+        amps, _ = peak_scaled(current)  # as is_separable_cut scales it
+        scaled = PureState(current.dims, amps)
+        nrm = float(np.linalg.norm(amps))
+        certificates: list[SeparabilityCertificate | None] = []  # None: proven entangled
         for pos in range(1, len(ids) + 1):
-            cert = is_separable_cut(current, pos, tolerance)
-            if cert.separable:
-                assert cert.factors is not None
-                u, current = cert.factors
+            entries = matricize(scaled, pos)
+            separable, cert = _decided(entries, nrm, tolerance), None
+            if separable is None:
+                cert = is_separable_cut(current, pos, tolerance)
+                separable = cert.separable
+            if separable:
+                split = cert.factors if cert else _rank_one_factors(entries / nrm, current, pos)
+                u, current = split
                 factors.append((ids.pop(pos - 1), u))
                 break
             certificates.append(cert)
         else:
+            failed = tuple(
+                cert or is_separable_cut(current, pos, tolerance)
+                for pos, cert in enumerate(certificates, 1)
+            )
+            if any(cert.separable for cert in failed):
+                raise InternalConsistencyError("a cut proven entangled scanned separable")
             return FullSeparabilityResult(
                 fully_separable=False,
                 factors=tuple(sorted(factors)),
-                failed=tuple(certificates),
+                failed=failed,
                 remainder=current,
                 remainder_subsystems=tuple(ids),
             )

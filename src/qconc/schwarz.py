@@ -48,6 +48,7 @@ _BAND = 1.0 - 2.0**-40
 _TINY = float(np.finfo(np.float64).tiny)
 
 _PRUNE_PAIRS = 1 << 19  # most row pairs _bounded_pairs takes: 8 MiB of indices
+_U = 2.0**-53  # unit roundoff
 
 
 def schwarz_gap(x1, x2) -> float:
@@ -326,11 +327,12 @@ def _bounded_pairs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     rows of largest h, whose minor at their peak columns seems largest.
     Kept are the pairs with h_a h_b >= L (1 - 2**-40), a slack for the ulps
     by which a bound or the kernel strays, with _TINY added to every |x|
-    for hypot on subnormals (an overflowed bound is kept).  None if L is
-    not finite or below 2**-1000 (subnormal rounding is absolute), if the
-    smallest bound, the two least h multiplied, reaches L (rounding is
-    monotone, so every bound does), beyond _PRUNE_PAIRS pairs, or up to
-    _CHUNK minors (the bounds cost as much).
+    for hypot on subnormals (an overflowed bound is kept).  Where that
+    prunes nothing (L not finite or below 2**-1000, where subnormal
+    rounding is absolute, or the smallest bound, the two least h
+    multiplied, at or above L: rounding is monotone, so every bound is),
+    as on near-product cuts, _schur_pairs decides.  None beyond
+    _PRUNE_PAIRS pairs or up to _CHUNK minors (the bounds cost as much).
     """
     x = x.T if x.shape[0] < x.shape[1] else x
     nr, nc = x.shape
@@ -346,15 +348,76 @@ def _bounded_pairs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     index = _seed_index(rows.size)
     g = x[rows][:, peaks[rows].ravel()].take(index)  # ac, ad, bd, bc
     seem = np.abs(g[0] * g[2] - g[1] * g[3])
-    if seem.max() <= smallest:  # no bound is below L
+    if not seem.max() <= smallest:  # some bound may be below L
+        seed = x[rows[index[::2, seem.argmax()] // (2 * rows.size)]]  # kernel reads it nc x 2
+        low = _max_minor(seed) * _BAND
+        if 2.0**-1000 <= low < math.inf and low > smallest:
+            a, b = _all_pairs(nr, total)
+            keep = h.take(a) * h.take(b) >= low
+            return a[keep], b[keep]
+    return _schur_pairs(x, total)
+
+
+def _schur_pairs(x: np.ndarray, total: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The row pairs of the tall x that the pivot's Schur bound keeps; None
+    for all pairs.
+
+    With p = x[r, c] the pivot, u = x[:, c], v = x[r, :] / p (|v_j| <= 1)
+    and S = x - u v^T = D / p (_pivot_minors), row a is u_a v + S_a, so the
+    minor of rows a, b at columns j, k is
+        u_a (v_j S_bk - v_k S_bj) + u_b (S_aj v_k - S_ak v_j)
+        + S_aj S_bk - S_ak S_bj,
+    and none exceeds B_ab = |u_a| t_b + |u_b| t_a + min(s_a t_b, s_b t_a),
+    where s_a is the largest |S[a, :]| and t_a the sum of its two largest.
+    L is the largest |D|, the largest minor through the pivot.  Kept are
+    the pairs with B + 512u P^2 >= L (u = 2**-53, P = |p|); the pad covers
+    the rounding: each |S| and s is within 14u P, each t within 32u P (its
+    sum rounded); with |u_a| <= P, s <= 2P and t <= 4P, B moves by at most
+    240u P^2 (48u P^2 of it its own rounding), the kernel's |minor| strays
+    by 20u P^2, B + pad rounds by 2u P^2, and the kernel's largest |minor|
+    is at least L - 29u P^2.  So a dropped pair's minors all come out below
+    the largest, and the kept pairs give the all-pairs bits.  None unless 2**-400 <= P <= 2**400 and L is above the
+    pad: below it S is rounding noise, as on product cuts.
+    """
+    peak, top, u, minors = _pivot_minors(x)
+    pad = 512 * _U * peak * peak
+    if not (2.0**-400 <= peak <= 2.0**400 and top > pad):
         return None
-    seed = x[rows[index[::2, seem.argmax()] // (2 * rows.size)]]  # kernel reads it nc x 2
-    low = _max_minor(seed) * _BAND
-    if not 2.0**-1000 <= low < math.inf or low <= smallest:
-        return None
-    a, b = (_pair_block if total <= _CHUNK else _pair_block.__wrapped__)(nr, 0, total)
-    keep = h.take(a) * h.take(b) >= low
+    two = np.sort(minors, axis=1)[:, -2:] / peak  # of |S|
+    s, t = two[:, 1], two[:, 0] + two[:, 1]
+    a, b = _all_pairs(x.shape[0], total)
+    ta, tb = t.take(a), t.take(b)
+    bound = u.take(a) * tb + u.take(b) * ta + np.minimum(s.take(a) * tb, s.take(b) * ta)
+    keep = bound + pad >= top
     return a[keep], b[keep]
+
+
+def _pivot_minors(x: np.ndarray) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """(P, max |D|, |u|, |D|) of the pivot p = x[r, c], the first entry of
+    the largest modulus P: u = x[:, c] and D = p x - u x[r, :], the minors
+    through the pivot (D[a, j] is the minor of rows r, a at columns c, j;
+    D / p is the pivot's Schur complement).
+
+    The kernel's largest |minor| is at least max |D| - 29u P^2 (u =
+    2**-53): a computed D is within 7u P^2 of the exact minor (two complex
+    products within sqrt(5) u P^2 each, one subtraction of values up to
+    2 P^2), its hypot within 2u P^2, and the kernel's |minor| within 20u P^2
+    of the exact one (four products, two differences and one of parts up
+    to P^2, 2 P^2 and 4 P^2, then hypot).  This holds for 2**-400 <= P <=
+    2**400, where no product overflows and underflow, absolute, is far
+    below u P^2; callers check P.
+    """
+    mod = np.abs(x)
+    r, c = divmod(int(np.argmax(mod)), x.shape[1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        minors = np.abs(x * x[r, c] - np.multiply.outer(x[:, c], x[r]))
+    return float(mod[r, c]), float(minors.max()), mod[:, c], minors
+
+
+def _all_pairs(nr: int, total: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every row pair (a, b), a < b, of nr rows, lexicographic; cached up to
+    _CHUNK pairs."""
+    return (_pair_block if total <= _CHUNK else _pair_block.__wrapped__)(nr, 0, total)
 
 
 @lru_cache(maxsize=16)

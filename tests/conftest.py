@@ -95,3 +95,37 @@ def reconstruction_fidelity(state: PureState, cut: int, u: PureState, rest: Pure
     psi = psi / np.linalg.norm(psi)
     phi = tensor(u, rest).amps
     return fidelity(psi, phi)
+
+
+def near_product_terms(rng: np.random.Generator, dims) -> tuple[np.ndarray, np.ndarray]:
+    """(t1, t2): products of unit vectors, each factor of t2 orthogonal to
+    the same factor of t1, so every cut of t1 + delta t2 is exactly rank 2."""
+    firsts, seconds = [], []
+    for n in dims:
+        u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        u /= np.linalg.norm(u)
+        z -= np.vdot(u, z) * u
+        firsts.append(u)
+        seconds.append(z / np.linalg.norm(z))
+    return _kron_all(firsts), _kron_all(seconds)
+
+
+def near_product_state(rng: np.random.Generator, dims, entangled: bool) -> PureState:
+    """t1 + delta t2 with delta as in the benchmark's near-product states:
+    below tol peak^2 / 20 (separable at tolerance 1e-9) or above 10 tol
+    sqrt(K), K the most minors of a cut (entangled)."""
+    t1, t2 = near_product_terms(rng, dims)
+    if entangled:
+        k = max(math.comb(n, 2) * math.comb(t1.size // n, 2) for n in dims)
+        delta = 1e-8 * math.sqrt(k) * 10 ** rng.uniform()
+    else:
+        delta = 1e-9 * float(np.max(np.abs(t1))) ** 2 / 20 * 10 ** -rng.uniform()
+    return make_state(list(dims), t1 + delta * t2)
+
+
+def _kron_all(vectors) -> np.ndarray:
+    out = np.ones(1, dtype=complex)
+    for v in vectors:
+        out = np.kron(out, v)
+    return out

@@ -27,7 +27,8 @@ from qconc import (
     tensor,
     WorkBudgetError,
 )
-from qconc.concurrence import MAX_CERTIFICATE_MINORS, _rank_one_factors
+from qconc.concurrence import DEFAULT_TOLERANCE, MAX_CERTIFICATE_MINORS, _rank_one_factors
+from qconc.states import peak_scaled
 
 from conftest import (
     apply_local_unitary,
@@ -36,6 +37,8 @@ from conftest import (
     ghz_state,
     haar_unitary,
     ket,
+    near_product_state,
+    near_product_terms,
     qutrit_pair,
     reconstruction_fidelity,
     w_state,
@@ -582,9 +585,162 @@ class TestOneScanPerCertificate:
         factorize_cut(s, 1)
         assert calls == [(6, 4), (4, 6)]
 
-    @pytest.mark.parametrize("kind, certificates", [("haar", 3), ("product", 2)])
-    def test_full_separability(self, calls, kind, certificates):
-        # Haar: three failed cuts.  Product: cut 1 of [8,8,8], then of [8,8].
+    @pytest.mark.parametrize("kind, scans", [("haar", 3), ("product", 0)])
+    def test_full_separability(self, calls, kind, scans):
+        # Haar: the pivot proves all three cuts entangled; none peels, so
+        # each is scanned once for its reported certificate.  Product: the
+        # minor sum certifies both peels (cut 1 of [8,8,8], then of [8,8]).
         result = full_separability(sample_state(SamplerSpec((8, 8, 8), kind, 5)))
-        assert len(calls) == certificates
+        assert len(calls) == scans
         assert len(result.failed) == (3 if kind == "haar" else 0)
+
+    def test_biseparable_scans_only_reported_cuts(self, calls):
+        # Bell x qutrit: the pivot proves cuts 1 and 2 entangled, and as
+        # cut 3 peels they are never scanned; the Bell remainder splits
+        # nowhere, so its two reported certificates are one scan each.
+        result = full_separability(tensor(bell_state(), make_state([3], [1, 2j, 3])))
+        assert calls == [(2, 2), (2, 2)]
+        assert result.remainder_subsystems == (1, 2)
+        assert [f[0] for f in result.factors] == [3]
+
+
+def _peel_by_scan(state, tolerance):
+    """full_separability's reference: the greedy peel with is_separable_cut,
+    hence the scan, on every cut tested."""
+    current, ids, factors = normalize(state), list(range(1, state.subsystem_count + 1)), []
+    while len(ids) > 1:
+        certificates = []
+        for pos in range(1, len(ids) + 1):
+            cert = is_separable_cut(current, pos, tolerance)
+            if cert.separable:
+                u, current = cert.factors
+                factors.append((ids.pop(pos - 1), u))
+                break
+            certificates.append(cert)
+        else:
+            return _outcome(False, factors, certificates, current, ids)
+    factors.append((ids[0], current))
+    return _outcome(True, factors, [], None, [])
+
+
+def _outcome(fully, factors, failed, remainder, ids):
+    """Everything a full-separability result reports, as comparable bits."""
+    return (
+        fully,
+        [(i, f.dims, f.amps.tobytes()) for i, f in sorted(factors)],
+        [(c.cut, c.max_abs_minor.hex(), c.separable, c.factors) for c in failed],
+        None if remainder is None else (remainder.dims, remainder.amps.tobytes()),
+        tuple(ids),
+    )
+
+
+def _result_bits(result):
+    return _outcome(result.fully_separable, list(result.factors), result.failed,
+                    result.remainder, result.remainder_subsystems)
+
+
+def _bell_with(dims, pair, seed):
+    """A Bell pair on subsystems ``pair`` (qubits) times a random state of
+    the remaining subsystem: biseparable with the pair in any position."""
+    rng = np.random.default_rng(seed)
+    amps = np.zeros(dims, dtype=complex)
+    rest = [k for k in range(3) if k not in pair][0]
+    other = rng.standard_normal(dims[rest]) + 1j * rng.standard_normal(dims[rest])
+    for bit in (0, 1):
+        index = [slice(None)] * 3
+        index[pair[0]], index[pair[1]] = bit, bit
+        amps[tuple(index)] = other
+    return make_state(list(dims), amps.reshape(-1))
+
+
+def _cases():
+    """{name: state}: Haar and product states, near-products, near-products
+    straddling the threshold, biseparable states and extreme scales."""
+    cases = {}
+    for dims in [(8, 8, 8), (2, 3, 4), (3, 3, 3), (2, 2, 2, 2)]:
+        for kind in ("haar", "product"):
+            for seed in range(3):
+                cases[f"{kind}{dims}{seed}"] = sample_state(SamplerSpec(dims, kind, seed))
+    rng = np.random.default_rng(14)
+    for entangled in (False, True):
+        for i in range(4):
+            cases[f"near{entangled}{i}"] = near_product_state(rng, (8, 8, 8), entangled)
+    for dims in [(8, 8, 8), (4, 6), (3, 3, 3)]:
+        for i in range(2):
+            t1, t2 = near_product_terms(rng, dims)
+            delta = 1e-9 * float(np.max(np.abs(t1))) ** 2  # tol peak^2
+            for f in (0.3, 0.99, 1.0, 1.01, 3):
+                cases[f"straddle{dims}{i}x{f}"] = make_state(list(dims), t1 + f * delta * t2)
+    for pair, dims in [((0, 1), (2, 2, 3)), ((1, 2), (3, 2, 2)), ((0, 2), (2, 3, 2))]:
+        for seed in range(2):
+            cases[f"bell{pair}{seed}"] = _bell_with(dims, pair, seed)
+    for seed in range(2):
+        haar = sample_state(SamplerSpec((3, 4), "haar", seed))
+        single = make_state([2], rng.standard_normal(2) + 1j * rng.standard_normal(2))
+        cases[f"haar-pair-first{seed}"] = tensor(haar, single)
+        cases[f"haar-pair-last{seed}"] = tensor(single, haar)
+    for name, state in list(cases.items())[::5]:
+        for scale in (1e150, 1e-150):
+            cases[f"{name}x{scale}"] = make_state(list(state.dims), state.amps * scale)
+    return cases
+
+
+CASES = _cases()
+
+
+def _scanned_at_threshold(state):
+    """Cut 1 of a two-part state as full_separability's scan sees it:
+    (largest |minor|, squared peak) of the peak-scaled normalized state."""
+    amps, _ = peak_scaled(normalize(state))
+    scaled = PureState(state.dims, amps)
+    return max_abs_minor(matricize(scaled, 1)), float(np.max(np.abs(amps))) ** 2
+
+
+class TestFullSeparabilityMatchesScan:
+    """full_separability decides most cuts without the scan; every verdict,
+    factor, certificate and remainder must still be the scan's, bit for bit."""
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_matches_the_scan_on_every_cut(self, name):
+        want = _peel_by_scan(CASES[name], DEFAULT_TOLERANCE)
+        assert _result_bits(full_separability(CASES[name])) == want
+
+    def test_straddling_near_products_are_scanned(self, monkeypatch):
+        # At delta >= tol peak^2, neither the pivot nor the sum decides the
+        # first cut of these: full_separability falls back to the scan.
+        scans = []
+
+        def counting(*args):
+            scans.append(args)
+            return is_separable_cut(*args)
+
+        monkeypatch.setattr(sys.modules["qconc.concurrence"], "is_separable_cut", counting)
+        for name, state in CASES.items():
+            if name.startswith("straddle") and name.endswith(("x1.0", "x1.01", "x3")):
+                before = len(scans)
+                full_separability(state)
+                assert len(scans) > before, name
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_tolerance_at_the_scanned_minor(self, seed):
+        # The tolerance puts the limit at the scan's largest |minor|, or the
+        # least float above it (separable: max <= limit), or just below it
+        # (entangled).  Both
+        # shortcuts see the same minors with other roundings; only their
+        # pads keep them from deciding these cuts the other way.
+        rng = np.random.default_rng(seed)
+        dims = [(2, 2), (2, 3), (3, 2), (2, 5)][seed % 4]
+        state = make_state(list(dims), rng.standard_normal(dims) + 1j * rng.standard_normal(dims))
+        worst, scale = _scanned_at_threshold(state)
+        tol = worst / scale
+        while tol * scale > worst:
+            tol = math.nextafter(tol, 0.0)
+        while tol * scale < worst:
+            tol = math.nextafter(tol, math.inf)
+        below = tol
+        while below * scale >= worst:
+            below = math.nextafter(below, 0.0)
+        for tolerance, separable in ((tol, True), (below, False)):
+            result = full_separability(state, tolerance)
+            assert _result_bits(result) == _peel_by_scan(state, tolerance)
+            assert result.fully_separable == separable

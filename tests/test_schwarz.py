@@ -31,7 +31,7 @@ from qconc import (
 from qconc import schwarz
 from qconc.states import peak_scaled
 
-from conftest import bell_state, ghz_state, qutrit_pair, unfold_brute_force
+from conftest import bell_state, ghz_state, near_product_state, qutrit_pair, unfold_brute_force
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -992,6 +992,35 @@ class TestPrunedMaxMatchesAllPairs:
             m = m[:, rng.integers(0, nr, nc)]
             assert max_abs_minor(m).hex() == _all_pairs_max(m).hex(), seed
 
+    @pytest.mark.parametrize("kind", ["near_sep", "near_ent", "rank-2", "rank-1+1e-9"])
+    def test_near_rank_one_equals_all_pairs(self, kind):
+        # The Schur bound of the pivot prunes these, in either orientation.
+        for seed in range(3):
+            m = _schur_case(kind, seed)
+            assert schwarz._bounded_pairs(m) is not None
+            want = _all_pairs_max(m).hex()
+            for chunk in (None, 7, 1):
+                with mock.patch.object(schwarz, "_CHUNK", chunk or schwarz._CHUNK):
+                    assert max_abs_minor(m).hex() == want, (seed, chunk)
+                    assert max_abs_minor(m.T).hex() == want, (seed, chunk)
+
+    def test_schur_bound_tight_at_the_pivot_pair(self):
+        # Every row is a multiple of the real pivot row, one of them plus a
+        # single entry: its Schur complement has one nonzero, so the bound of
+        # the pivot pair is its largest minor, which is the largest of all;
+        # only the rounding pad keeps that pair.
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            v = rng.choice([-1.0, 1.0], 8) + 0j
+            u = rng.uniform(0.2, 0.5, 64) * np.exp(1j * rng.uniform(0, 7, 64))
+            r, b = rng.choice(64, 2, replace=False)
+            u[r] = rng.uniform(0.55, 1.0)
+            m = np.outer(u, v)
+            m[b, rng.integers(1, 8)] += 10.0 ** -rng.uniform(2, 8) * np.exp(1j * rng.uniform(0, 7))
+            assert schwarz._bounded_pairs(m) is not None
+            want = _all_pairs_max(m).hex()
+            assert max_abs_minor(m).hex() == want == max_abs_minor(m.T).hex(), seed
+
     @pytest.mark.parametrize("chunk", [None, 7, 1])
     def test_kernel_on_explicit_pairs(self, monkeypatch, chunk):
         # Every minor of the given row pairs once, of the wide matrix read tall.
@@ -1004,6 +1033,20 @@ class TestPrunedMaxMatchesAllPairs:
         assert _kernel_minor_bits(m, (a, b)) == want
 
 
+def _schur_case(kind, seed):
+    """A near-rank-1 matrix, where the h_a h_b bound prunes nothing: a cut of
+    an [8, 8, 8] near-product state (benchmark deltas), peak-scaled as
+    is_separable_cut reads it, a rank-2 matrix or rank 1 plus 1e-9 noise."""
+    rng = np.random.default_rng(seed)
+    if kind in ("near_sep", "near_ent"):
+        state = near_product_state(rng, (8, 8, 8), kind == "near_ent")
+        return matricize(make_state([8, 8, 8], peak_scaled(state)[0]), 1 + seed % 3)
+    nr, nc = rng.integers(8, 33, 2)
+    if kind == "rank-2":
+        return _near_product(seed, 10.0 ** -rng.uniform(2, 7), (nr, nc))
+    return np.outer(_gaussian(rng, nr), _gaussian(rng, nc)) + 1e-9 * _gaussian(rng, nr, nc)
+
+
 def _evaluated(m):
     """(max_abs_minor(m), minors the kernel evaluated for it)."""
     value, steps = _recorded_steps(lambda: max_abs_minor(m))
@@ -1012,7 +1055,8 @@ def _evaluated(m):
 
 class TestPruningWork:
     """Where the certificate's work goes: a fraction of the minors on Haar
-    cuts, every minor on product cuts (the documented limit)."""
+    and near-product cuts, every minor on exact product cuts (the
+    documented limit)."""
 
     @pytest.mark.parametrize("dims", [(32, 32), (8, 64)])
     def test_haar_cuts_evaluate_under_half(self, dims):
@@ -1040,6 +1084,13 @@ class TestPruningWork:
                 kept += pairs if bounded is None else bounded[0].size
                 total += pairs
         assert kept / total <= 1.5 * measured
+
+    def test_near_entangled_cuts_evaluate_under_a_fifth(self):
+        for seed in range(6):
+            mat = _schur_case("near_ent", seed)
+            value, evaluated = _evaluated(mat)
+            assert value.hex() == _all_pairs_max(mat).hex()
+            assert evaluated < _minor_count(mat) / 5, seed
 
     def test_product_cut_evaluates_every_minor(self):
         rng = np.random.default_rng(3)
