@@ -37,6 +37,8 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tol", type=float, default=1e-9, help="certificate tolerance")
     args = parser.parse_args()
+    if not 0.0 < args.tol < math.inf:
+        parser.error(f"--tol must be positive and finite, got {args.tol}")
 
     print(f"{'state':>12} {'value':>9} {'per-cut minor sums':>28}  verdict")
     for name, state in named_states():

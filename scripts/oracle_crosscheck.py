@@ -11,6 +11,7 @@ The two agree to ~1e-15 in practice; anything above --tol is listed.
 """
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -26,6 +27,10 @@ def main() -> int:
     parser.add_argument("--max-dim-tri", type=int, default=4)
     parser.add_argument("--tol", type=float, default=1e-9)
     args = parser.parse_args()
+    if args.states < 1:
+        parser.error(f"--states must be at least 1, got {args.states}")
+    if not 0.0 < args.tol < math.inf:
+        parser.error(f"--tol must be positive and finite, got {args.tol}")
 
     rng = np.random.default_rng(args.seed)
     outliers = []

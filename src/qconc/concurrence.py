@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArityError, CertificateError, InternalConsistencyError, WorkBudgetError
-from .schwarz import _BOUND, _U, _pivot_minors, matricize, max_abs_minor, minor_sum_sq
+from .schwarz import _check_cut, _pivot_verdict, matricize, max_abs_minor, minor_sum_sq
 from .states import Cut, PureState, normalize, peak_scaled
 
 DEFAULT_NORMALIZATION = 4.0
@@ -144,8 +144,9 @@ def _check_tolerance(tolerance) -> float:
 
 
 def _check_budget(state: PureState, cut: Cut) -> None:
-    """WorkBudgetError if the cut has more than MAX_CERTIFICATE_MINORS minors."""
-    rows = state.dims[cut - 1] if 1 <= cut <= state.subsystem_count else 1
+    """IndexError for a bad cut, WorkBudgetError above MAX_CERTIFICATE_MINORS minors."""
+    _check_cut(state, cut)
+    rows = state.dims[cut - 1]
     minors = math.comb(rows, 2) * math.comb(state.size // rows, 2)
     if minors > MAX_CERTIFICATE_MINORS:
         msg = f"cut {cut} has {minors} minors, above the budget of {MAX_CERTIFICATE_MINORS}"
@@ -212,37 +213,6 @@ def factorize_cut(
     return cert.factors
 
 
-def _decided(entries: np.ndarray, nrm: float, tolerance: float) -> bool | None:
-    """The verdict is_separable_cut gives on a peak_scaled unfolding (of
-    Frobenius norm nrm), where a bound settles it without the scan: False
-    if the minors through the pivot prove entanglement, True if the minor
-    sum proves separability, else None.
-
-    scale = P^2, P the peak modulus, as is_separable_cut takes it.  The
-    kernel's largest |minor| is at least the largest through the pivot
-    less 29u P^2 (_pivot_minors; u = 2**-53), so that largest less 64u P^2
-    (rounded by at most 2u P^2) above the limit makes the scan's verdict
-    entangled.  Otherwise the minor sum is within 2**-90 ||M||_F^4 of the
-    exact sum plus one rounding, and its root bounds every exact |minor|,
-    which the kernel's differs from by at most 20u P^2.  (1 + 8u) covers
-    the rounding of the sum, the root and the product (nrm^4's, at most
-    2n u relative for n terms, moves the root by far less than the spare
-    40u P^2); 64u P^2 covers the kernel and the last addition (the limit
-    is at most 4 P^2, or every cut is separable).  So (1 + 8u)
-    sqrt(sum + 2**-90 nrm^4) + 64u P^2 at or below the limit makes it
-    separable.
-    """
-    peak, top, _, _ = _pivot_minors(entries)
-    scale = peak**2
-    limit = tolerance * scale
-    if top - 64 * _U * scale > limit:
-        return False
-    total = minor_sum_sq(entries)
-    if (1 + 8 * _U) * math.sqrt(total + _BOUND * nrm**4) + 64 * _U * scale <= limit:
-        return True
-    return None
-
-
 def full_separability(
     state: PureState, tolerance: float = DEFAULT_TOLERANCE
 ) -> FullSeparabilityResult:
@@ -253,7 +223,7 @@ def full_separability(
     scratch.  The state is fully separable iff this extracts one factor per
     subsystem.  For exact product states the greedy order does not affect
     the verdict; it only fixes which certificates are reported.  Each
-    verdict is is_separable_cut's; the scan runs only where _decided
+    verdict is is_separable_cut's; the scan runs only where _pivot_verdict
     leaves it open, or for the certificates reported when no cut splits.
     The tolerance is checked first, as in is_separable_cut, even where one
     subsystem leaves no cut to test.  Cuts over the work budget, checked on
@@ -272,7 +242,7 @@ def full_separability(
         certificates: list[SeparabilityCertificate | None] = []  # None: proven entangled
         for pos in range(1, len(ids) + 1):
             entries = matricize(scaled, pos)
-            separable, cert = _decided(entries, nrm, tolerance), None
+            separable, cert = _pivot_verdict(entries, tolerance), None
             if separable is None:
                 cert = is_separable_cut(current, pos, tolerance)
                 separable = cert.separable

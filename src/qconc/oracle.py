@@ -53,7 +53,7 @@ def reduced_density(state: PureState, keep: Cut) -> DensityMatrix:
     sum over the remainder multi-index r of amp(a, r) * conj(amp(b, r)).
     """
     m = state.subsystem_count
-    if not 1 <= keep <= m:
+    if isinstance(keep, bool) or not isinstance(keep, (int, np.integer)) or not 1 <= keep <= m:
         raise IndexError(f"cut {keep} out of range 1..{m}")
     t = normalize(state).amps.reshape(state.dims)
     others = [a for a in range(m) if a != keep - 1]

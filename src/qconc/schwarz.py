@@ -49,6 +49,7 @@ _TINY = float(np.finfo(np.float64).tiny)
 
 _PRUNE_PAIRS = 1 << 19  # most row pairs _bounded_pairs takes: 8 MiB of indices
 _U = 2.0**-53  # unit roundoff
+_PAD = 512 * _U  # rounding pad of the pivot's Schur bound, times P^2
 
 
 def schwarz_gap(x1, x2) -> float:
@@ -75,14 +76,19 @@ def matricize(state: PureState, cut: Cut) -> np.ndarray:
     Entry (r, c), 0-based, is the amplitude with i_cut = r + 1 and the
     remaining subsystems, in ascending order, at row-major position c.
     """
-    m = state.subsystem_count
-    if not 1 <= cut <= m:
-        raise IndexError(f"cut {cut} out of range 1..{m}")
+    _check_cut(state, cut)
     rows = state.dims[cut - 1]
     outer = state.amps.reshape(math.prod(state.dims[: cut - 1]), rows, -1)
     entries = np.ascontiguousarray(outer.transpose(1, 0, 2).reshape(rows, -1))
     entries.flags.writeable = False
     return entries
+
+
+def _check_cut(state: PureState, cut: Cut) -> None:
+    """IndexError unless cut is an integer (not a bool) in 1..subsystem_count."""
+    m = state.subsystem_count
+    if isinstance(cut, bool) or not isinstance(cut, (int, np.integer)) or not 1 <= cut <= m:
+        raise IndexError(f"cut {cut} out of range 1..{m}")
 
 
 @lru_cache(maxsize=64)
@@ -100,7 +106,7 @@ def _pair_block(n: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _max_minor(entries: np.ndarray, pairs=None) -> float:
-    """Largest |minor| of row pairs (a, b) = pairs (or all); NaN if any is NaN.
+    """Largest |minor| of row pairs (a, b) = pairs (or all), 0.0 if none, NaN if any is.
 
     A wide matrix is read as its transpose (same minors bit for bit: IEEE
     products and sums commute), and ``pairs`` index its rows.  A block of
@@ -118,7 +124,7 @@ def _max_minor(entries: np.ndarray, pairs=None) -> float:
         entries = entries.T
     nr, nc = entries.shape
     count = nr * (nr - 1) // 2 if pairs is None else pairs[0].size
-    if nc < 2:
+    if nc < 2 or count == 0:
         return 0.0
     parts = np.empty((2, nc, nr))
     parts[0] = entries.real.T
@@ -370,17 +376,18 @@ def _schur_pairs(x: np.ndarray, total: int) -> tuple[np.ndarray, np.ndarray] | N
     and none exceeds B_ab = |u_a| t_b + |u_b| t_a + min(s_a t_b, s_b t_a),
     where s_a is the largest |S[a, :]| and t_a the sum of its two largest.
     L is the largest |D|, the largest minor through the pivot.  Kept are
-    the pairs with B + 512u P^2 >= L (u = 2**-53, P = |p|); the pad covers
+    the pairs with B + _PAD P^2 >= L (u = 2**-53, P = |p|); the pad covers
     the rounding: each |S| and s is within 14u P, each t within 32u P (its
     sum rounded); with |u_a| <= P, s <= 2P and t <= 4P, B moves by at most
     240u P^2 (48u P^2 of it its own rounding), the kernel's |minor| strays
     by 20u P^2, B + pad rounds by 2u P^2, and the kernel's largest |minor|
     is at least L - 29u P^2.  So a dropped pair's minors all come out below
-    the largest, and the kept pairs give the all-pairs bits.  None unless 2**-400 <= P <= 2**400 and L is above the
-    pad: below it S is rounding noise, as on product cuts.
+    the largest: the kept pairs give the all-pairs bits.  None unless
+    2**-400 <= P <= 2**400 and L > pad (below it S is rounding noise, as
+    on product cuts).
     """
     peak, top, u, minors = _pivot_minors(x)
-    pad = 512 * _U * peak * peak
+    pad = _PAD * peak * peak
     if not (2.0**-400 <= peak <= 2.0**400 and top > pad):
         return None
     two = np.sort(minors, axis=1)[:, -2:] / peak  # of |S|
@@ -390,6 +397,27 @@ def _schur_pairs(x: np.ndarray, total: int) -> tuple[np.ndarray, np.ndarray] | N
     bound = u.take(a) * tb + u.take(b) * ta + np.minimum(s.take(a) * tb, s.take(b) * ta)
     keep = bound + pad >= top
     return a[keep], b[keep]
+
+
+def _pivot_verdict(x: np.ndarray, tolerance: float) -> bool | None:
+    """max_abs_minor(x) <= tolerance P^2 where the pivot settles it: False
+    if a minor through it proves entanglement, True if its Schur bound
+    proves separability, else None.  x is peak-scaled (P in [0.5, 2)).
+
+    The kernel's largest |minor| is at least L - 29u P^2 (_pivot_minors),
+    so L - 64u P^2 (rounded by 2u P^2) above the limit means entangled.
+    By _schur_pairs' identity with |u_a| <= P, |v_j| <= 1 and |S| <= L/P,
+    no exact minor exceeds 4L + 2L^2/P^2; L within 9u P^2 of the exact
+    max |D| <= 2 P^2 moves that by at most 108u P^2, the kernel strays by
+    20u P^2 and the bound (under 16 P^2) rounds by 64u P^2: _PAD P^2
+    covers all three.
+    """
+    peak, top, _, _ = _pivot_minors(x)
+    scale = peak**2
+    limit = tolerance * scale
+    if top - 64 * _U * scale > limit:
+        return False
+    return True if 4 * top + 2 * (top / peak) ** 2 + _PAD * scale <= limit else None
 
 
 def _pivot_minors(x: np.ndarray) -> tuple[float, float, np.ndarray, np.ndarray]:

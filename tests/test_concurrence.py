@@ -27,6 +27,7 @@ from qconc import (
     tensor,
     WorkBudgetError,
 )
+from qconc import schwarz
 from qconc.concurrence import DEFAULT_TOLERANCE, MAX_CERTIFICATE_MINORS, _rank_one_factors
 from qconc.states import peak_scaled
 
@@ -239,6 +240,17 @@ class TestSeparabilityCertificates:
     def test_arity_error_below_two(self):
         with pytest.raises(ArityError):
             is_separable_cut(ket([5], [2]), 1)
+
+    @pytest.mark.parametrize("cut", [True, 1.0, np.bool_(True)])
+    def test_bool_or_float_cut_refused(self, cut):
+        with pytest.raises(IndexError, match=f"cut {cut} out of range"):
+            is_separable_cut(bell_state(), cut)
+        with pytest.raises(IndexError, match=f"cut {cut} out of range"):
+            factorize_cut(bell_state(), cut)
+
+    def test_numpy_integer_cut(self):
+        cert = is_separable_cut(tensor(bell_state(), ket([2], [1])), np.int64(3))
+        assert cert.separable and cert.cut == 3
 
     def test_bad_tolerance_rejected(self):
         with pytest.raises(ValueError):
@@ -589,7 +601,7 @@ class TestOneScanPerCertificate:
     def test_full_separability(self, calls, kind, scans):
         # Haar: the pivot proves all three cuts entangled; none peels, so
         # each is scanned once for its reported certificate.  Product: the
-        # minor sum certifies both peels (cut 1 of [8,8,8], then of [8,8]).
+        # pivot's Schur bound certifies both peels (cut 1 of [8,8,8], then of [8,8]).
         result = full_separability(sample_state(SamplerSpec((8, 8, 8), kind, 5)))
         assert len(calls) == scans
         assert len(result.failed) == (3 if kind == "haar" else 0)
@@ -688,12 +700,18 @@ def _cases():
 CASES = _cases()
 
 
+def _first_cut(state):
+    """Cut 1 as full_separability first reads it: the unfolding of the
+    peak-scaled normalized state."""
+    amps, _ = peak_scaled(normalize(state))
+    return matricize(PureState(state.dims, amps), 1)
+
+
 def _scanned_at_threshold(state):
     """Cut 1 of a two-part state as full_separability's scan sees it:
     (largest |minor|, squared peak) of the peak-scaled normalized state."""
-    amps, _ = peak_scaled(normalize(state))
-    scaled = PureState(state.dims, amps)
-    return max_abs_minor(matricize(scaled, 1)), float(np.max(np.abs(amps))) ** 2
+    entries = _first_cut(state)
+    return max_abs_minor(entries), float(np.max(np.abs(entries))) ** 2
 
 
 class TestFullSeparabilityMatchesScan:
@@ -706,8 +724,14 @@ class TestFullSeparabilityMatchesScan:
         assert _result_bits(full_separability(CASES[name])) == want
 
     def test_straddling_near_products_are_scanned(self, monkeypatch):
-        # At delta >= tol peak^2, neither the pivot nor the sum decides the
-        # first cut of these: full_separability falls back to the scan.
+        # Where the pivot leaves the first cut of these open (delta near
+        # tol peak^2 on the small shapes), full_separability falls back to
+        # the scan.
+        undecided = [
+            name for name, state in CASES.items() if name.startswith("straddle")
+            and schwarz._pivot_verdict(_first_cut(state), DEFAULT_TOLERANCE) is None
+        ]
+        assert len(undecided) >= 12
         scans = []
 
         def counting(*args):
@@ -715,11 +739,18 @@ class TestFullSeparabilityMatchesScan:
             return is_separable_cut(*args)
 
         monkeypatch.setattr(sys.modules["qconc.concurrence"], "is_separable_cut", counting)
-        for name, state in CASES.items():
-            if name.startswith("straddle") and name.endswith(("x1.0", "x1.01", "x3")):
-                before = len(scans)
-                full_separability(state)
-                assert len(scans) > before, name
+        for name in undecided:
+            before = len(scans)
+            full_separability(CASES[name])
+            assert len(scans) > before, name
+
+    def test_runs_no_minor_sum(self, monkeypatch):
+        # The pivot decides without the Gram route; only concurrence sums.
+        sums = []
+        monkeypatch.setattr(sys.modules["qconc.concurrence"], "minor_sum_sq", sums.append)
+        for state in CASES.values():
+            full_separability(state)
+        assert sums == []
 
     @pytest.mark.parametrize("seed", range(40))
     def test_tolerance_at_the_scanned_minor(self, seed):

@@ -70,6 +70,14 @@ class TestReducedDensity:
         with pytest.raises(IndexError):
             reduced_density(bell_state(), 3)
 
+    @pytest.mark.parametrize("keep", [True, 1.0, np.bool_(True)])
+    def test_keep_bool_or_float_refused(self, keep):
+        with pytest.raises(IndexError, match=f"cut {keep} out of range"):
+            reduced_density(bell_state(), keep)
+
+    def test_keep_numpy_integer(self):
+        assert reduced_density(bell_state(), np.int64(2)).dim == 2
+
     def test_normalizes_internally(self):
         scaled = make_state([2, 2], 5.0 * bell_state().amps)
         rho = reduced_density(scaled, 2)

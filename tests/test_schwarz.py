@@ -29,7 +29,7 @@ from qconc import (
     schwarz_gap,
 )
 from qconc import schwarz
-from qconc.states import peak_scaled
+from qconc.states import normalize, peak_scaled
 
 from conftest import bell_state, ghz_state, near_product_state, qutrit_pair, unfold_brute_force
 
@@ -217,6 +217,15 @@ class TestMatricize:
             matricize(s, 0)
         with pytest.raises(IndexError):
             matricize(s, 3)
+
+    @pytest.mark.parametrize("cut", [True, False, 1.0, 2.0, np.bool_(True)])
+    def test_bool_or_float_cut_refused(self, cut):
+        with pytest.raises(IndexError, match=f"cut {cut} out of range"):
+            matricize(make_state([2, 2], [1, 0, 0, 0]), cut)
+
+    def test_numpy_integer_cut(self):
+        s = make_state([2, 3], [1, 2, 3, 4, 5, 6])
+        assert np.array_equal(matricize(s, np.int64(2)), matricize(s, 2))
 
     @pytest.mark.parametrize(
         "dims", [(2, 3), (3, 2), (2, 2, 2), (2, 3, 4), (4, 1, 2), (5,)]
@@ -1023,14 +1032,16 @@ class TestPrunedMaxMatchesAllPairs:
 
     @pytest.mark.parametrize("chunk", [None, 7, 1])
     def test_kernel_on_explicit_pairs(self, monkeypatch, chunk):
-        # Every minor of the given row pairs once, of the wide matrix read tall.
+        # Every minor of the given row pairs once, of the wide matrix read
+        # tall; no pairs give no minors and a largest |minor| of 0.0.
         if chunk is not None:
             monkeypatch.setattr(schwarz, "_CHUNK", chunk)
         m = _gaussian(np.random.default_rng(8), 4, 6)
-        a, b = np.array([0, 0, 2, 1]), np.array([5, 1, 3, 4])
-        want = sorted(_abs_bits(v) for i, j in zip(a, b)
-                      for *_, v in _scalar_minor_values(m.T[[i, j]]))
-        assert _kernel_minor_bits(m, (a, b)) == want
+        for a, b in [([0, 0, 2, 1], [5, 1, 3, 4]), ([], [])]:
+            a, b = np.array(a, dtype=np.intp), np.array(b, dtype=np.intp)
+            minors = [v for i, j in zip(a, b) for *_, v in _scalar_minor_values(m.T[[i, j]])]
+            assert _kernel_minor_bits(m, (a, b)) == sorted(map(_abs_bits, minors))
+            assert schwarz._max_minor(m, (a, b)) == max(map(abs, minors), default=0.0)
 
 
 def _schur_case(kind, seed):
@@ -1045,6 +1056,57 @@ def _schur_case(kind, seed):
     if kind == "rank-2":
         return _near_product(seed, 10.0 ** -rng.uniform(2, 7), (nr, nc))
     return np.outer(_gaussian(rng, nr), _gaussian(rng, nc)) + 1e-9 * _gaussian(rng, nr, nc)
+
+
+def _verdict_case(kind, seed):
+    """A matrix peak-scaled as full_separability reads a cut (of the
+    normalized state): rank 1 (exact, or plus noise from 1e-1 to 1e-16),
+    rank 2, Gaussian, or a _schur_case kind.  One rank-1 case in four has
+    the real pivot 1 and is not normalized, so every minor through the
+    pivot is exactly 0 while the kernel's other minors are rounding noise:
+    only the pad covers those."""
+    rng = np.random.default_rng(seed)
+    nr, nc = (int(n) for n in rng.integers(2, 17, 2))
+    if kind == "rank-1" and seed % 4 == 0:
+        u, v = (rng.uniform(0.3, 0.99, n) * np.exp(1j * rng.uniform(0, 7, n)) for n in (nr, nc))
+        u[0] = v[0] = 1.0
+        return peak_scaled(make_state([nr, nc], np.outer(u, v).ravel()))[0].reshape(nr, nc)
+    if kind == "rank-1":
+        m = np.outer(_gaussian(rng, nr), _gaussian(rng, nc))
+        if seed % 4 > 1:
+            m = m + 10.0 ** -rng.uniform(1, 16) * _gaussian(rng, nr, nc)
+    elif kind == "rank-2-small":
+        m = _near_product(seed, 10.0 ** -rng.uniform(0, 9), (nr, nc))
+    elif kind == "gaussian":
+        m = _gaussian(rng, nr, nc)
+    else:
+        m = np.asarray(_schur_case(kind, seed))
+    amps, _ = peak_scaled(normalize(make_state(list(m.shape), m.ravel())))
+    return amps.reshape(m.shape)
+
+
+class TestPivotVerdict:
+    """The pivot's bounds, against the kernel on every row pair."""
+
+    @pytest.mark.parametrize("kind", ["rank-1", "rank-2-small", "gaussian", "near_sep",
+                                      "near_ent", "rank-2", "rank-1+1e-9"])
+    def test_schur_bound_holds(self, kind):
+        # 150 matrices per kind, both orientations: no |minor| exceeds
+        # 4L + 2L^2/P^2 + _PAD P^2, and each verdict is the scan's.
+        proven = {None: 0, False: 0, True: 0}
+        for seed in range(150):
+            m = _verdict_case(kind, seed)
+            for x in (m, m.T):
+                peak, top, _, _ = schwarz._pivot_minors(x)
+                scale = peak**2
+                bound = 4 * top + 2 * (top / peak) ** 2 + schwarz._PAD * scale
+                worst = _all_pairs_max(x)
+                assert worst <= bound, (seed, x.shape)
+                for tol in (1e-12, 1e-9, 1e-6, bound / scale, top / scale):
+                    verdict = schwarz._pivot_verdict(x, tol)
+                    assert verdict in (None, worst <= tol * scale), (seed, tol)
+                    proven[verdict] += 1
+        assert min(proven[False], proven[True]) >= 50  # both verdicts are exercised
 
 
 def _evaluated(m):

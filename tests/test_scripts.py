@@ -20,10 +20,37 @@ ROOT = Path(__file__).resolve().parents[1]
     ids=lambda argv: argv[0],
 )
 def test_script_exits_zero(argv):
+    run = _run(argv)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["benchmark_states.py", "--tol=-1"],
+        ["benchmark_states.py", "--tol", "nan"],
+        ["benchmark_states.py", "--tol", "inf"],
+        ["benchmark_states.py", "--tol", "0"],
+        ["oracle_crosscheck.py", "--tol", "nan"],
+        ["oracle_crosscheck.py", "--tol=-1e-3"],
+        ["oracle_crosscheck.py", "--tol", "inf"],
+        ["oracle_crosscheck.py", "--states", "0"],
+        ["oracle_crosscheck.py", "--states=-2"],
+    ],
+    ids=" ".join,
+)
+def test_bad_arguments_exit_two(argv):
+    # argparse refuses them with a usage message, before any work.
+    run = _run(argv)
+    assert run.returncode == 2, run.stdout + run.stderr
+    assert "must be" in run.stderr and "Traceback" not in run.stderr
+    assert not run.stdout
+
+
+def _run(argv):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    run = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
         env=env, capture_output=True, text=True, timeout=120,
     )
-    assert run.returncode == 0, run.stderr
-    assert run.stdout
