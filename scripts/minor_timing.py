@@ -5,16 +5,18 @@ The minor count is C(N,2) * C(M,2), i.e. quartic in the subsystem dimension
 for square [N, N] states.  After the square sweep comes one [8, 64] state,
 whose 8x64 matricization is the shape of every unfolding of an [8, 8, 8]
 state, then a near-product [8, 64] state u (x) v + 1e-4 u' (x) v' (rank 2,
-u' orthogonal to u, v' to v; marked *), on which the Schur bound of the
-pivot does the pruning.  For each state it times concurrence (the sum of
-squared minors of the one cut, by the exact-Gram route: O(N^3)), and, up
-to N = 64, the bare quartic kernel (schwarz._max_minor on every row pair of the cut-1
-matricization) and max_abs_minor on the same matricization (the
-separability certificate's scan, which runs the kernel on the row pairs
-its bounds keep).  It prints the minor count, the best wall time of each,
-their throughput in minors per second (of all minors, also for the max),
-and the share of the minors the max evaluated: the row pairs
-schwarz._bounded_pairs keeps, counted in one extra, untimed call.
+u' orthogonal to u, v' to v; marked *).  For each state it times
+concurrence (the sum of squared minors of the one cut, by the exact-Gram
+route: O(N^3)), and, up to N = 64, the bare quartic kernel
+(schwarz._max_minor on every row pair of the cut-1 matricization) and
+max_abs_minor on the same matricization (the separability certificate's
+scan).  max_abs_minor runs the kernel once, on the row pairs that its one
+pre-pass, schwarz._bounded_pairs, keeps: pairs whose Schwarz bound (or,
+on the near-product state, the pivot's Schur bound) reaches one exact
+lower bound.  It prints the minor count, the best wall time of each, their
+throughput in minors per second (of all minors, also for the max), and the
+share of the minors the max evaluated: the kept row pairs, counted in one
+extra, untimed call of the pre-pass.
 """
 
 import argparse
@@ -69,6 +71,10 @@ def main() -> int:
     parser.add_argument("--repeats", type=int, default=3, help="best-of timing")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
+    if min(args.dims) < 1:
+        parser.error(f"--dims must be at least 1, got {min(args.dims)}")
+    if args.repeats < 1:
+        parser.error(f"--repeats must be at least 1, got {args.repeats}")
 
     print(
         f"{'dims':>10} {'minors':>10} {'kernel s':>9} {'kernel minors/s':>15} "

@@ -31,6 +31,9 @@ def main() -> int:
         parser.error(f"--states must be at least 1, got {args.states}")
     if not 0.0 < args.tol < math.inf:
         parser.error(f"--tol must be positive and finite, got {args.tol}")
+    for flag, value in (("--max-dim-bi", args.max_dim_bi), ("--max-dim-tri", args.max_dim_tri)):
+        if value < 2:
+            parser.error(f"{flag} must be at least 2, got {value}")
 
     rng = np.random.default_rng(args.seed)
     outliers = []

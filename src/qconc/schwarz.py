@@ -325,78 +325,85 @@ def max_abs_minor(mat) -> float:
 
 def _bounded_pairs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """Row pairs (a, b), lexicographic, of x read tall as the kernel reads
-    it that can hold the largest |minor|; None for all pairs.
+    it that can hold the largest |minor|; None if none is dropped.
 
-    No minor of rows a, b exceeds h_a h_b, h_a = hypot(p1, p2) of the two
-    largest |x[a, :]| (Schwarz on each row's two entries in the minor's
-    columns).  L is the kernel's largest |minor| of the pair, of the 12
-    rows of largest h, whose minor at their peak columns seems largest.
-    Kept are the pairs with h_a h_b >= L (1 - 2**-40), a slack for the ulps
-    by which a bound or the kernel strays, with _TINY added to every |x|
-    for hypot on subnormals (an overflowed bound is kept).  Where that
-    prunes nothing (L not finite or below 2**-1000, where subnormal
-    rounding is absolute, or the smallest bound, the two least h
-    multiplied, at or above L: rounding is monotone, so every bound is),
-    as on near-product cuts, _schur_pairs decides.  None beyond
-    _PRUNE_PAIRS pairs or up to _CHUNK minors (the bounds cost as much).
+    Both bounds are tested against L, the largest |D| through the pivot as
+    the kernel computes it (_modulus), raised where the Schwarz bound prunes
+    to the largest |minor| with two of the 2 nc largest entries on its
+    diagonal (nc >= 2 columns; a row or a column with itself, which only
+    rounding noise can pick, raises nothing).  Schwarz: no minor of rows
+    a, b exceeds h_a h_b, h_a = hypot(p1, p2) of the two largest |x[a, :]|
+    (Schwarz on each row's two entries in the minor's columns); kept are
+    the pairs with h_a h_b >= L (1 - 2**-40), a slack for the ulps by which
+    a bound or the kernel strays, with _TINY added to every |x| for hypot on
+    subnormals (an overflowed bound is kept).  Nothing is pruned unless
+    2**-1000 <= L < inf (below it subnormal rounding is absolute).
+
+    Where that keeps every pair, as on near-product cuts, the pivot's Schur
+    bound: with p = x[r, c] the pivot, u = x[:, c], v = x[r, :] / p (|v_j|
+    <= 1) and S = x - u v^T = D / p (_pivot_minors), row a is u_a v + S_a,
+    so the minor of rows a, b at columns j, k is
+        u_a (v_j S_bk - v_k S_bj) + u_b (S_aj v_k - S_ak v_j)
+        + S_aj S_bk - S_ak S_bj,
+    and none exceeds B_ab = |u_a| t_b + |u_b| t_a + min(s_a t_b, s_b t_a),
+    where s_a is the largest |S[a, :]| and t_a the sum of its two largest.
+    Kept are the pairs with B + _PAD P^2 >= L (u = 2**-53, P = |p|): each
+    |S| and s is within 14u P, each t within 32u P (its sum rounded); with
+    |u_a| <= P, s <= 2P and t <= 4P, B moves by at most 240u P^2 (48u P^2
+    its own rounding), the kernel's |minor| strays by 20u P^2 and B + pad
+    rounds by 2u P^2.  Only for 2**-400 <= P <= 2**400 and max |D| > pad
+    (else S is rounding noise, as on product cuts).  Either way no minor of
+    a dropped pair comes out as large as L.  None beyond _PRUNE_PAIRS pairs
+    or up to _CHUNK minors (the bounds cost as much).
     """
     x = x.T if x.shape[0] < x.shape[1] else x
     nr, nc = x.shape
     total = nr * (nr - 1) // 2
     if total * (nc * (nc - 1) // 2) <= _CHUNK or total > _PRUNE_PAIRS:
         return None
-    mod = np.abs(x) + _TINY
-    peaks = np.argsort(mod, axis=1)[:, -2:]
-    h = np.hypot(*mod[np.arange(nr)[:, None], peaks].T)
-    order = np.argsort(h)
-    smallest = float(h[order[0]]) * float(h[order[1]])  # the smallest bound
-    rows = order[-12:]
-    index = _seed_index(rows.size)
-    g = x[rows][:, peaks[rows].ravel()].take(index)  # ac, ad, bd, bc
-    seem = np.abs(g[0] * g[2] - g[1] * g[3])
-    if not seem.max() <= smallest:  # some bound may be below L
-        seed = x[rows[index[::2, seem.argmax()] // (2 * rows.size)]]  # kernel reads it nc x 2
-        low = _max_minor(seed) * _BAND
-        if 2.0**-1000 <= low < math.inf and low > smallest:
-            a, b = _all_pairs(nr, total)
-            keep = h.take(a) * h.take(b) >= low
-            return a[keep], b[keep]
-    return _schur_pairs(x, total)
-
-
-def _schur_pairs(x: np.ndarray, total: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """The row pairs of the tall x that the pivot's Schur bound keeps; None
-    for all pairs.
-
-    With p = x[r, c] the pivot, u = x[:, c], v = x[r, :] / p (|v_j| <= 1)
-    and S = x - u v^T = D / p (_pivot_minors), row a is u_a v + S_a, so the
-    minor of rows a, b at columns j, k is
-        u_a (v_j S_bk - v_k S_bj) + u_b (S_aj v_k - S_ak v_j)
-        + S_aj S_bk - S_ak S_bj,
-    and none exceeds B_ab = |u_a| t_b + |u_b| t_a + min(s_a t_b, s_b t_a),
-    where s_a is the largest |S[a, :]| and t_a the sum of its two largest.
-    L is the largest |D|, the largest minor through the pivot.  Kept are
-    the pairs with B + _PAD P^2 >= L (u = 2**-53, P = |p|); the pad covers
-    the rounding: each |S| and s is within 14u P, each t within 32u P (its
-    sum rounded); with |u_a| <= P, s <= 2P and t <= 4P, B moves by at most
-    240u P^2 (48u P^2 of it its own rounding), the kernel's |minor| strays
-    by 20u P^2, B + pad rounds by 2u P^2, and the kernel's largest |minor|
-    is at least L - 29u P^2.  So a dropped pair's minors all come out below
-    the largest: the kept pairs give the all-pairs bits.  None unless
-    2**-400 <= P <= 2**400 and L > pad (below it S is rounding noise, as
-    on product cuts).
-    """
     peak, top, u, minors = _pivot_minors(x)
+    mod = np.abs(x)
+    r, c = divmod(int(np.argmax(mod)), nc)
+    minors[r] = minors[:, c] = 0.0  # a row or a column with itself: noise, or NaN
+    low = _modulus(x, r, c, *divmod(int(np.argmax(minors)), nc))
+    if not 2.0**-1000 <= low < math.inf:
+        return None
+    a, b = _all_pairs(nr, total)
+    h = np.hypot(*_top_two(mod + _TINY).T)
+    bound = h.take(a) * h.take(b)
+    if not (bound >= low * _BAND).all():  # Schwarz prunes; a larger L prunes more
+        i, j = np.divmod(np.argpartition(mod, -2 * nc, axis=None)[-2 * nc:], nc)
+        g = x[i][:, j]  # g[k, l] = x[i_k, j_l]
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = np.abs(np.multiply.outer(g.diagonal(), g.diagonal()) - g * g.T)
+        k, l = divmod(int(np.argmax(m)), 2 * nc)
+        wider = _modulus(x, i[k], j[k], i[l], j[l])
+        keep = bound >= (wider if low < wider < math.inf else low) * _BAND
+        return a[keep], b[keep]
     pad = _PAD * peak * peak
     if not (2.0**-400 <= peak <= 2.0**400 and top > pad):
         return None
-    two = np.sort(minors, axis=1)[:, -2:] / peak  # of |S|
+    two = _top_two(minors) / peak  # of |S|
     s, t = two[:, 1], two[:, 0] + two[:, 1]
-    a, b = _all_pairs(x.shape[0], total)
     ta, tb = t.take(a), t.take(b)
     bound = u.take(a) * tb + u.take(b) * ta + np.minimum(s.take(a) * tb, s.take(b) * ta)
-    keep = bound + pad >= top
-    return a[keep], b[keep]
+    keep = bound + pad >= low
+    return None if keep.all() else (a[keep], b[keep])
+
+
+def _modulus(x: np.ndarray, r: int, c: int, a: int, j: int) -> float:
+    """|minor| of rows r, a at columns c, j as the kernel evaluates it
+    (CPython's complex product, then libm hypot; row or column order only
+    negates it): by the determinism contract one of the kernel's own
+    moduli, bit for bit, at any scale; 0.0 or NaN if r == a or c == j."""
+    w = complex(x[r, c]) * complex(x[a, j]) - complex(x[r, j]) * complex(x[a, c])
+    with np.errstate(over="ignore"):
+        return float(np.hypot(w.real, w.imag))
+
+
+def _top_two(a: np.ndarray) -> np.ndarray:
+    """The two largest of each row of a, ascending."""
+    return np.partition(a, -2, axis=1)[:, -2:]
 
 
 def _pivot_verdict(x: np.ndarray, tolerance: float) -> bool | None:
@@ -406,11 +413,11 @@ def _pivot_verdict(x: np.ndarray, tolerance: float) -> bool | None:
 
     The kernel's largest |minor| is at least L - 29u P^2 (_pivot_minors),
     so L - 64u P^2 (rounded by 2u P^2) above the limit means entangled.
-    By _schur_pairs' identity with |u_a| <= P, |v_j| <= 1 and |S| <= L/P,
-    no exact minor exceeds 4L + 2L^2/P^2; L within 9u P^2 of the exact
-    max |D| <= 2 P^2 moves that by at most 108u P^2, the kernel strays by
-    20u P^2 and the bound (under 16 P^2) rounds by 64u P^2: _PAD P^2
-    covers all three.
+    By the Schur identity (_bounded_pairs) with |u_a| <= P, |v_j| <= 1 and
+    |S| <= L/P, no exact minor exceeds 4L + 2L^2/P^2; L within 9u P^2 of
+    the exact max |D| <= 2 P^2 moves that by at most 108u P^2, the kernel
+    strays by 20u P^2 and the bound (under 16 P^2) rounds by 64u P^2:
+    _PAD P^2 covers all three.
     """
     peak, top, _, _ = _pivot_minors(x)
     scale = peak**2
@@ -446,14 +453,3 @@ def _all_pairs(nr: int, total: int) -> tuple[np.ndarray, np.ndarray]:
     """Every row pair (a, b), a < b, of nr rows, lexicographic; cached up to
     _CHUNK pairs."""
     return (_pair_block if total <= _CHUNK else _pair_block.__wrapped__)(nr, 0, total)
-
-
-@lru_cache(maxsize=16)
-def _seed_index(r: int) -> np.ndarray:
-    """Read-only flat (4, n) index into r rows at their two peak columns each:
-    (i, u), (i, v), (j, v), (j, u) for rows i < j and u < v of their four."""
-    i, j = np.triu_indices(r, 1)
-    u, v = np.array([2 * i, 2 * i + 1, 2 * j, 2 * j + 1])[np.array(np.triu_indices(4, 1))]
-    index = (2 * r * np.array([i, i, j, j])[:, None] + np.array([u, v, v, u])).reshape(4, -1)
-    index.flags.writeable = False
-    return index

@@ -930,6 +930,7 @@ def _pruning_case(kind, seed, small):
 
 PRUNING_KINDS = ["wide", "zero-rows", "integer-ties", "block-ties", "overflow", "subnormal",
                  "tight", "bound-tight", "haar", "product", "near-product"]
+SCHUR_KINDS = ["near_sep", "near_ent", "rank-2", "rank-1+1e-9"]  # of _schur_case
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -1001,7 +1002,7 @@ class TestPrunedMaxMatchesAllPairs:
             m = m[:, rng.integers(0, nr, nc)]
             assert max_abs_minor(m).hex() == _all_pairs_max(m).hex(), seed
 
-    @pytest.mark.parametrize("kind", ["near_sep", "near_ent", "rank-2", "rank-1+1e-9"])
+    @pytest.mark.parametrize("kind", SCHUR_KINDS)
     def test_near_rank_one_equals_all_pairs(self, kind):
         # The Schur bound of the pivot prunes these, in either orientation.
         for seed in range(3):
@@ -1030,6 +1031,28 @@ class TestPrunedMaxMatchesAllPairs:
             want = _all_pairs_max(m).hex()
             assert max_abs_minor(m).hex() == want == max_abs_minor(m.T).hex(), seed
 
+    @pytest.mark.parametrize("kind", PRUNING_KINDS + SCHUR_KINDS)
+    def test_lower_bound_is_one_of_the_kernels_moduli(self, kind):
+        # Both bounds prune against L with no margin for L itself: every
+        # candidate the pre-pass evaluates must be a |minor| the kernel
+        # computes (or 0.0), so never above the largest one.
+        evaluated = 0
+        for seed in range(12):
+            if kind in SCHUR_KINDS:
+                m = _schur_case(kind, seed)
+            else:
+                m = _pruning_case(kind, seed, small=seed % 2 == 0)
+            m = np.asarray(m, dtype=complex)
+            for x in (m, m.T):
+                lows = _recorded_lows(x)
+                worst, steps = _recorded_steps(lambda: _all_pairs_max(x))
+                moduli = {v for re, im in steps for v in np.hypot(re, im).tolist()}
+                for low in filter(math.isfinite, lows):
+                    assert low <= worst or math.isnan(worst), (seed, x.shape)
+                    assert low == 0.0 or low in moduli, (seed, x.shape)
+                evaluated += len(lows)
+        assert evaluated >= 24
+
     @pytest.mark.parametrize("chunk", [None, 7, 1])
     def test_kernel_on_explicit_pairs(self, monkeypatch, chunk):
         # Every minor of the given row pairs once, of the wide matrix read
@@ -1042,6 +1065,22 @@ class TestPrunedMaxMatchesAllPairs:
             minors = [v for i, j in zip(a, b) for *_, v in _scalar_minor_values(m.T[[i, j]])]
             assert _kernel_minor_bits(m, (a, b)) == sorted(map(_abs_bits, minors))
             assert schwarz._max_minor(m, (a, b)) == max(map(abs, minors), default=0.0)
+
+
+def _recorded_lows(x):
+    """Every lower bound _bounded_pairs(x) evaluates, recorded by wrapping
+    schwarz._modulus; _CHUNK is 1 so that small matrices take the pre-pass."""
+    lows = []
+    evaluate = schwarz._modulus
+
+    def recording(*args):
+        lows.append(evaluate(*args))
+        return lows[-1]
+
+    with mock.patch.object(schwarz, "_modulus", recording):
+        with mock.patch.object(schwarz, "_CHUNK", 1):
+            schwarz._bounded_pairs(x)
+    return lows
 
 
 def _schur_case(kind, seed):
@@ -1153,6 +1192,22 @@ class TestPruningWork:
             value, evaluated = _evaluated(mat)
             assert value.hex() == _all_pairs_max(mat).hex()
             assert evaluated < _minor_count(mat) / 5, seed
+
+    @pytest.mark.parametrize("case", ["haar-32x32", "haar-8x8x8", "near_ent"])
+    def test_one_kernel_call(self, case):
+        # The pre-pass takes L from a few recomputed minors, not from a
+        # kernel call of its own: peak-scaled Haar cuts and a near-entangled
+        # one, which the Schur bound prunes.
+        if case == "near_ent":
+            mat = _schur_case("near_ent", 4)
+        else:
+            dims = [32, 32] if case == "haar-32x32" else [8, 8, 8]
+            state = make_state(dims, _gaussian(np.random.default_rng(4), math.prod(dims)))
+            mat = matricize(make_state(dims, peak_scaled(state)[0]), 1)
+        with mock.patch.object(schwarz, "_max_minor", wraps=schwarz._max_minor) as kernel:
+            value = max_abs_minor(mat)
+        assert kernel.call_count == 1
+        assert value.hex() == _all_pairs_max(mat).hex()
 
     def test_product_cut_evaluates_every_minor(self):
         rng = np.random.default_rng(3)

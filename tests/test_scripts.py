@@ -37,6 +37,11 @@ def test_script_exits_zero(argv):
         ["oracle_crosscheck.py", "--tol", "inf"],
         ["oracle_crosscheck.py", "--states", "0"],
         ["oracle_crosscheck.py", "--states=-2"],
+        ["oracle_crosscheck.py", "--max-dim-bi", "1"],
+        ["oracle_crosscheck.py", "--max-dim-tri", "1"],
+        ["minor_timing.py", "--dims", "0"],
+        ["minor_timing.py", "--dims", "4", "-3"],
+        ["minor_timing.py", "--repeats", "0"],
     ],
     ids=" ".join,
 )
