@@ -10,19 +10,22 @@ concurrence (the sum of squared minors of the one cut, by the exact-Gram
 route: O(N^3)), and, up to N = 64, the bare quartic kernel
 (schwarz._max_minor on every row pair of the cut-1 matricization) and
 max_abs_minor on the same matricization (the separability certificate's
-scan).  max_abs_minor runs the kernel once, on the row pairs that its one
-pre-pass, schwarz._bounded_pairs, keeps: pairs whose Schwarz bound (or,
+scan).  max_abs_minor runs one evaluator after its one pre-pass,
+schwarz._bounded_pairs, which keeps the row pairs whose Schwarz bound (or,
 on the near-product state, the pivot's Schur bound) reaches one exact
-lower bound.  It prints the minor count, the best wall time of each, their
-throughput in minors per second (of all minors, also for the max), and the
-share of the minors the max evaluated: the kept row pairs, counted in one
-extra, untimed call of the pre-pass.
+lower bound: the quad evaluator on the minors of those pairs whose columns
+pass the column bound, where the Schwarz bound pruned and at most 8192 such
+minors remain, else the offset kernel on every minor of the kept pairs.
+It prints the minor count, the best wall time of each, their throughput
+in minors per second (of all minors, also for the max), and the share of
+the minors the max evaluated, counted in one extra, untimed call.
 """
 
 import argparse
 import math
 import sys
 import time
+from unittest import mock
 
 import numpy as np
 
@@ -43,11 +46,18 @@ def best_time(fn, repeats: int) -> tuple[float, object]:
 
 
 def evaluated_share(mat) -> float:
-    """Share of the minors the kernel evaluates for max_abs_minor(mat):
-    every minor of each row pair its bounds keep."""
-    pairs = math.comb(max(mat.shape), 2)
-    kept = schwarz._bounded_pairs(mat)
-    return 1.0 if kept is None else kept[0].size / pairs
+    """Share of the minors max_abs_minor(mat) evaluates: the sizes of the
+    steps its evaluator reduces (schwarz._max_modulus), over all minors."""
+    sizes = []
+    reduce = schwarz._max_modulus
+
+    def counting(re, im, sq):
+        sizes.append(re.size)
+        return reduce(re, im, sq)
+
+    with mock.patch.object(schwarz, "_max_modulus", counting):
+        max_abs_minor(mat)
+    return sum(sizes) / (math.comb(mat.shape[0], 2) * math.comb(mat.shape[1], 2))
 
 
 def near_product(rng, rows: int, cols: int) -> np.ndarray:
@@ -97,7 +107,7 @@ def main() -> int:
             max_s, _ = best_time(lambda: max_abs_minor(mat), args.repeats)
             share = evaluated_share(mat)
             kernel = f"{kernel_s:>9.4f} {minors / kernel_s:>15.3e}"
-            maximum = f"{max_s:>9.4f} {minors / max_s:>13.3e} {share:>9.1%}"
+            maximum = f"{max_s:>9.4f} {minors / max_s:>13.3e} {share:>9.3%}"
         print(
             f"[{rows:>3},{cols:>3}]{'*' if near else ' '}{minors:>10} {kernel} "
             f"{sum_s:>9.4f} {minors / sum_s:>13.3e} {maximum} {report.value:>9.5f}"

@@ -11,12 +11,14 @@ into a rows-by-rest coefficient matrix, and the squared moduli of all its 2x2
 minors measure how far the rows are from mutual parallelism, i.e. how far the
 cut is from being separable.
 
-Determinism contract: the kernel evaluates minors per block of row pairs
-and column offset, in the order of a scalar complex product, so every
-|minor| equals ``abs(M[a,c] * M[b,d] - M[a,d] * M[b,c])`` bit for bit and
-those of M.T equal those of M; the largest modulus does not depend on the
-order.  The sum of squared minors takes the Gram route
-(minor_sum_sq), whose bits do not depend on BLAS or its threads.
+Determinism contract: the offset kernel (_max_minor) evaluates minors per
+block of row pairs and column offset, and the quad evaluator (_quad_max)
+one minor per explicit (a, b, j, k), both in the order of a scalar complex
+product, so every |minor| equals ``abs(M[a,c] * M[b,d] - M[a,d] * M[b,c])``
+bit for bit and those of M.T equal those of M; the largest modulus does
+not depend on the order or on the evaluator.  The sum of squared minors
+takes the Gram route (minor_sum_sq), whose bits do not depend on BLAS or
+its threads.
 """
 
 from __future__ import annotations
@@ -316,16 +318,29 @@ def _level_weights(k: int, beta: int) -> np.ndarray:
 def max_abs_minor(mat) -> float:
     """Largest |minor|; 0.0 for degenerate shapes, NaN if any minor is NaN.
 
-    |minor| is libm hypot(re, im), the function behind abs(complex).  Only
-    the row pairs _bounded_pairs keeps are scanned, with the full scan's bits.
+    |minor| is libm hypot(re, im), the function behind abs(complex).  One
+    evaluator runs, with the full scan's bits.  Where the Schwarz bound
+    prunes row pairs (_bounded_pairs) and the column bound leaves at most
+    _CHUNK of their minors (_column_quads), the quad evaluator takes those;
+    otherwise the offset kernel scans every minor of the kept row pairs, or
+    of all of them where nothing is pruned.
     """
     entries = _as_entries(mat)
-    return _max_minor(entries, _bounded_pairs(entries))
+    x = entries.T if entries.shape[0] < entries.shape[1] else entries
+    bounded = _bounded_pairs(x)
+    if bounded is None:
+        return _max_minor(x)
+    a, b, low, by_h = bounded
+    quads = _column_quads(x, a, b, low) if by_h else None
+    return _max_minor(x, (a, b)) if quads is None else _quad_max(x, *quads)
 
 
-def _bounded_pairs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Row pairs (a, b), lexicographic, of x read tall as the kernel reads
-    it that can hold the largest |minor|; None if none is dropped.
+def _bounded_pairs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, bool] | None:
+    """(a, b, L, by_h): the row pairs (a, b), lexicographic, of x read tall
+    as the kernel reads it that can hold the largest |minor|, the lower
+    bound L they were tested against, and whether the Schwarz bound (True)
+    or the pivot's Schur bound (False) dropped the others; None if no pair
+    is dropped.
 
     Both bounds are tested against L, the largest |D| through the pivot as
     the kernel computes it (_modulus), raised where the Schwarz bound prunes
@@ -370,7 +385,8 @@ def _bounded_pairs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
         return None
     a, b = _all_pairs(nr, total)
     h = np.hypot(*_top_two(mod + _TINY).T)
-    bound = h.take(a) * h.take(b)
+    with np.errstate(over="ignore"):
+        bound = h.take(a) * h.take(b)
     if not (bound >= low * _BAND).all():  # Schwarz prunes; a larger L prunes more
         i, j = np.divmod(np.argpartition(mod, -2 * nc, axis=None)[-2 * nc:], nc)
         g = x[i][:, j]  # g[k, l] = x[i_k, j_l]
@@ -378,8 +394,9 @@ def _bounded_pairs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
             m = np.abs(np.multiply.outer(g.diagonal(), g.diagonal()) - g * g.T)
         k, l = divmod(int(np.argmax(m)), 2 * nc)
         wider = _modulus(x, i[k], j[k], i[l], j[l])
-        keep = bound >= (wider if low < wider < math.inf else low) * _BAND
-        return a[keep], b[keep]
+        low = wider if low < wider < math.inf else low
+        keep = bound >= low * _BAND
+        return a[keep], b[keep], low, True
     pad = _PAD * peak * peak
     if not (2.0**-400 <= peak <= 2.0**400 and top > pad):
         return None
@@ -388,7 +405,63 @@ def _bounded_pairs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     ta, tb = t.take(a), t.take(b)
     bound = u.take(a) * tb + u.take(b) * ta + np.minimum(s.take(a) * tb, s.take(b) * ta)
     keep = bound + pad >= low
-    return None if keep.all() else (a[keep], b[keep])
+    return None if keep.all() else (a[keep], b[keep], low, False)
+
+
+def _column_quads(
+    x: np.ndarray, a: np.ndarray, b: np.ndarray, low: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+    """The minors (a, b, j, k), j < k, of the row pairs a, b of the tall x
+    whose columns both pass the column bound against L = low; None if there
+    are more than _CHUNK of them.
+
+    No minor of rows a, b at columns j, k exceeds |x_aj| |x_bk| + |x_ak|
+    |x_bj| <= g_j = |x_aj| m_b + m_a |x_bj| (m_a the largest |x[a, :]|), nor
+    g_k, so only minors whose columns both have g >= L (1 - 2**-40) can be
+    as large as L.  The kernel's |minor| strays from the exact one by a few
+    ulps of |x_aj| |x_bk| + |x_ak| |x_bj|, within the Schwarz bound's slack;
+    _TINY is added to every |x| as there, and an overflowed g is kept.  The
+    pairs are taken in blocks of at most _PRUNE_PAIRS entries of g.
+    """
+    nc = x.shape[1]
+    mod = np.abs(x) + _TINY
+    peak = mod.max(axis=1)
+    step = max(1, _PRUNE_PAIRS // nc)
+    live, quads = [], 0
+    for s in range(0, a.size, step):
+        pa, pb = a[s : s + step], b[s : s + step]
+        with np.errstate(over="ignore"):
+            g = mod[pa] * peak[pb, None]
+            g += peak[pa, None] * mod[pb]
+        keep = g >= low * _BAND
+        n = np.count_nonzero(keep, axis=1)
+        quads += int(n @ (n - 1)) // 2
+        if quads > _CHUNK:
+            return None
+        pair, col = np.nonzero(keep)
+        live.append((pair + s, col))
+    pair, col = (np.concatenate(v) for v in zip(*live))
+    # Each live column pairs with the live columns after it in its row pair.
+    later = np.searchsorted(pair, pair, side="right") - 1 - np.arange(pair.size)
+    first = np.repeat(np.arange(pair.size), later)
+    second = first + 1 + np.arange(first.size) - np.repeat(np.cumsum(later) - later, later)
+    q = pair.take(first)
+    return a.take(q), b.take(q), col.take(first), col.take(second)
+
+
+def _quad_max(x: np.ndarray, a: np.ndarray, b: np.ndarray, j: np.ndarray, k: np.ndarray) -> float:
+    """Largest |minor| of rows a, b at columns j, k of the tall x, one
+    minor per (a, b, j, k), reduced by _max_modulus.
+
+    The offset kernel's 14 elementwise operations in its order, so each
+    modulus is the kernel's bit for bit: where the kernel reaches columns
+    j < k past the last column it computes q - p for p - q, which only
+    negates the minor.
+    """
+    aj, ak, bj, bk = x[a, j], x[a, k], x[b, j], x[b, k]
+    re = (aj.real * bk.real - aj.imag * bk.imag) - (ak.real * bj.real - ak.imag * bj.imag)
+    im = (aj.real * bk.imag + aj.imag * bk.real) - (ak.real * bj.imag + ak.imag * bj.real)
+    return _max_modulus(re, im, np.empty_like(re))
 
 
 def _modulus(x: np.ndarray, r: int, c: int, a: int, j: int) -> float:

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 from itertools import combinations, product
@@ -1193,10 +1194,11 @@ class TestPruningWork:
             assert value.hex() == _all_pairs_max(mat).hex()
             assert evaluated < _minor_count(mat) / 5, seed
 
-    @pytest.mark.parametrize("case", ["haar-32x32", "haar-8x8x8", "near_ent"])
-    def test_one_kernel_call(self, case):
+    @pytest.mark.parametrize("case, quads", [("haar-32x32", 1), ("haar-8x8x8", 1), ("near_ent", 0)])
+    def test_one_evaluator_call(self, case, quads):
         # The pre-pass takes L from a few recomputed minors, not from a
-        # kernel call of its own: peak-scaled Haar cuts and a near-entangled
+        # kernel call of its own, and one evaluator runs: the quad evaluator
+        # on peak-scaled Haar cuts, the offset kernel on a near-entangled
         # one, which the Schur bound prunes.
         if case == "near_ent":
             mat = _schur_case("near_ent", 4)
@@ -1204,9 +1206,8 @@ class TestPruningWork:
             dims = [32, 32] if case == "haar-32x32" else [8, 8, 8]
             state = make_state(dims, _gaussian(np.random.default_rng(4), math.prod(dims)))
             mat = matricize(make_state(dims, peak_scaled(state)[0]), 1)
-        with mock.patch.object(schwarz, "_max_minor", wraps=schwarz._max_minor) as kernel:
-            value = max_abs_minor(mat)
-        assert kernel.call_count == 1
+        value, calls = _evaluator_calls(mat)
+        assert calls == (quads, 1 - quads)
         assert value.hex() == _all_pairs_max(mat).hex()
 
     def test_product_cut_evaluates_every_minor(self):
@@ -1214,3 +1215,128 @@ class TestPruningWork:
         state = make_state([8, 8, 8], _kron(*(_gaussian(rng, 8) for _ in range(3))))
         mat = matricize(make_state([8, 8, 8], peak_scaled(state)[0]), 1)
         assert _evaluated(mat)[1] == _minor_count(mat)
+
+
+def _evaluator_calls(m):
+    """(max_abs_minor(m), (quad evaluator calls, offset kernel calls))."""
+    with mock.patch.object(schwarz, "_quad_max", wraps=schwarz._quad_max) as quad:
+        with mock.patch.object(schwarz, "_max_minor", wraps=schwarz._max_minor) as kernel:
+            value = max_abs_minor(m)
+    return value, (quad.call_count, kernel.call_count)
+
+
+def _peak_scaled_cuts(dims, seed):
+    """Every cut of a Haar state, peak-scaled as is_separable_cut reads it."""
+    state = sample_state(SamplerSpec(dims, "haar", seed))
+    scaled = make_state(list(dims), peak_scaled(state)[0])
+    return [matricize(scaled, cut) for cut in range(1, len(dims) + 1)]
+
+
+def _kernel_moduli(x):
+    """{(a, b, j, k): (|re|, |im|) bits} of every minor of the tall x, j < k,
+    from the offset kernel run on one row pair at a time, so that entry c
+    of the step at offset s is the minor of columns c and c + s (mod cols);
+    and how many of them it reached past the last column."""
+    nr, nc = x.shape
+    moduli, wrapped = {}, 0
+    for a, b in combinations(range(nr), 2):
+        pair = (np.array([a]), np.array([b]))
+        for s, (re, im) in enumerate(_kernel_steps(x, pair), 1):
+            for c, (r, i) in enumerate(zip(re.tolist(), im.tolist())):
+                d = (c + s) % nc
+                moduli[(a, b, min(c, d), max(c, d))] = _abs_bits(complex(r, i))
+                wrapped += c + s >= nc
+    return moduli, wrapped
+
+
+class TestQuadEvaluator:
+    """The column bound and the quad evaluator, against the offset kernel on
+    every row pair, by float.hex."""
+
+    @pytest.mark.parametrize("dims", [(32, 32), (48, 48), (8, 8, 8)])
+    def test_haar_cuts_take_the_quad_path(self, dims):
+        for seed in range(3):
+            for mat in _peak_scaled_cuts(dims, seed):
+                want = _all_pairs_max(mat).hex()
+                for x in (mat, mat.T):
+                    value, calls = _evaluator_calls(x)
+                    assert calls == (1, 0), (seed, x.shape)
+                    assert value.hex() == want, (seed, x.shape)
+
+    @pytest.mark.parametrize("shape", [(6, 6), (9, 5), (5, 9), (7, 8)])
+    def test_every_modulus_is_the_kernels(self, shape):
+        # Every minor of every row pair through the evaluator: each
+        # (|re|, |im|), hence each modulus, is the kernel's for the same
+        # (a, b, j, k), also where the kernel reached it past the last
+        # column and computed it negated.
+        rng = np.random.default_rng(sum(shape))
+        m = _gaussian(rng, *shape) * 10.0 ** rng.integers(-3, 4, shape)
+        x = m.T if m.shape[0] < m.shape[1] else m
+        want, wrapped = _kernel_moduli(x)
+        assert len(want) == _minor_count(x) and wrapped > 0
+        quads = [np.array(v) for v in zip(*want)]
+        value, steps = _recorded_steps(lambda: schwarz._quad_max(x, *quads))
+        [(re, im)] = steps
+        got = {q: _abs_bits(complex(r, i)) for q, r, i in zip(want, re.tolist(), im.tolist())}
+        assert got == want
+        assert value.hex() == _all_pairs_max(m).hex()
+
+    def test_column_bound_tight(self):
+        # Rows 0 and 1 peak in the same column k and their products at
+        # columns j, k align in phase, so their minor there, the largest of
+        # the matrix, is |x_0j| m_1 + m_0 |x_1j| = g_j exactly; where g_j
+        # rounds below that minor, only the 2**-40 slack keeps column j.
+        band_only = 0
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            m = 0.01 * _gaussian(rng, 16, 16)
+            j, k = rng.choice(16, 2, replace=False)
+            rows = rng.uniform(0.1, 0.6, (2, 16)) * np.exp(1j * rng.uniform(0, 7, (2, 16)))
+            rows[:, k] = rng.uniform(0.7, 1.0, 2) * np.exp(1j * rng.uniform(0, 7, 2))
+            against = -rows[0, j] * rows[1, k] / rows[0, k]
+            rows[1, j] = against / abs(against) * rng.uniform(0.1, 0.6)
+            m[:2] = rows
+            m = m[rng.permutation(16)]
+            value, calls = _evaluator_calls(m)
+            assert calls == (1, 0), seed
+            assert value.hex() == _all_pairs_max(m).hex(), seed
+            a, b, low, by_h = schwarz._bounded_pairs(m)
+            mod = np.abs(m) + schwarz._TINY
+            peak = mod.max(axis=1)
+            g = mod[a] * peak[b, None] + peak[a, None] * mod[b]
+            band_only += bool(((g < low) & (g >= low * schwarz._BAND)).any())
+        assert band_only >= 5
+
+    def test_every_column_surviving_takes_the_kernel(self):
+        # Unit-modulus rows, one of them scaled by 0.4: the Schwarz bound
+        # drops that row's pairs, and every column of the others survives,
+        # 1953 pairs x 2016 minors.  The offset kernel scans them in steps
+        # of _CHUNK; no pairs x column-pairs array is built.
+        rng = np.random.default_rng(0)
+        m = np.exp(1j * rng.uniform(0, 2 * np.pi, (64, 64)))
+        m[0] *= 0.4
+        assert schwarz._bounded_pairs(m)[0].size == 1953
+        tracemalloc.start()
+        try:
+            value, calls = _evaluator_calls(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert calls == (0, 1)
+        assert peak < 8 * 2**20
+        assert value.hex() == _all_pairs_max(m).hex()
+
+    def test_overflowing_bounds_warn_nothing(self):
+        # Rows 0 and 1 near 1.2e154 and almost parallel: every minor is
+        # finite, but h_0 h_1 and the column bounds g of their pair overflow,
+        # which must not warn (the suite turns warnings into errors).
+        m = 0.01 * _gaussian(np.random.default_rng(1), 16, 16)
+        m[:2] = 1.2e154
+        m[1, 3] *= 1.0000001
+        mod = np.abs(m) + schwarz._TINY
+        with np.errstate(over="ignore"):
+            assert math.isinf(mod[0, 0] * mod[1].max() + mod[0].max() * mod[1, 0])
+        value, calls = _evaluator_calls(m)
+        assert calls == (1, 0)
+        assert value.hex() == _all_pairs_max(m).hex()
+        assert math.isfinite(value)
