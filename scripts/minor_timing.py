@@ -5,9 +5,13 @@ The minor count is C(N,2) * C(M,2), i.e. quartic in the subsystem dimension
 for square [N, N] states.  After the square sweep comes one [8, 64] state,
 whose 8x64 matricization is the shape of every unfolding of an [8, 8, 8]
 state, then a near-product [8, 64] state u (x) v + 1e-4 u' (x) v' (rank 2,
-u' orthogonal to u, v' to v; marked *).  For each state it times
-concurrence (the sum of squared minors of the one cut, by the exact-Gram
-route: O(N^3)), and, up to N = 64, the bare quartic kernel
+u' orthogonal to u, v' to v; marked *), then an [8, 8, 8] Haar and an
+[8, 8, 8] near-product state (u (x) v (x) w + 1e-4 u' (x) v' (x) w').  For
+each state it times concurrence, the sum of squared minors by the
+exact-Gram route (O(N^3)): of the one cut of a two-part state, and of the
+three cuts of an [8, 8, 8] state in one stacked pass, whose minor count is
+that of all three cuts.  For the two-part states up to N = 64 it also
+times the bare quartic kernel
 (schwarz._max_minor on every row pair of the cut-1 matricization) and
 max_abs_minor on the same matricization (the separability certificate's
 scan).  max_abs_minor runs one evaluator after its one pre-pass,
@@ -60,16 +64,16 @@ def evaluated_share(mat) -> float:
     return sum(sizes) / (math.comb(mat.shape[0], 2) * math.comb(mat.shape[1], 2))
 
 
-def near_product(rng, rows: int, cols: int) -> np.ndarray:
-    """u (x) v + 1e-4 u' (x) v', unit vectors with u' orthogonal to u, v' to v."""
-    pairs = []
-    for n in (rows, cols):
+def near_product(rng, dims) -> np.ndarray:
+    """u (x) v (x) ... + 1e-4 u' (x) v' (x) ..., unit vectors with u'
+    orthogonal to u, v' to v and so on."""
+    first, second = np.ones(1), np.ones(1)
+    for n in dims:
         u, z = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
         u /= np.linalg.norm(u)
         z -= np.vdot(u, z) * u
-        pairs.append((u, z / np.linalg.norm(z)))
-    (u, u2), (v, v2) = pairs
-    return np.kron(u, v) + 1e-4 * np.kron(u2, v2)
+        first, second = np.kron(first, u), np.kron(second, z / np.linalg.norm(z))
+    return first + 1e-4 * second
 
 
 def main() -> int:
@@ -91,25 +95,29 @@ def main() -> int:
         f"{'sum s':>9} {'sum minors/s':>13} {'max s':>9} {'max minors/s':>13} {'max share':>9} "
         f"{'value':>9}"
     )
-    for rows, cols, near in [(n, n, False) for n in args.dims] + [(8, 64, False), (8, 64, True)]:
+    cases = [([n, n], False) for n in args.dims]
+    cases += [([8, 64], False), ([8, 64], True), ([8, 8, 8], False), ([8, 8, 8], True)]
+    for dims, near in cases:
         rng = np.random.default_rng(args.seed)
-        size = rows * cols
+        size = math.prod(dims)
         amps = rng.standard_normal(size) + 1j * rng.standard_normal(size)
         if near:
-            amps = near_product(rng, rows, cols)
-        state = make_state([rows, cols], amps)
+            amps = near_product(rng, dims)
+        state = make_state(dims, amps)
         mat = matricize(state, 1)
-        minors = math.comb(rows, 2) * math.comb(cols, 2)
+        cut_dims = dims[:1] if len(dims) == 2 else dims  # the cuts concurrence sums
+        minors = sum(math.comb(n, 2) * math.comb(size // n, 2) for n in cut_dims)
         sum_s, report = best_time(lambda: concurrence(state), args.repeats)
         kernel, maximum = f"{'-':>9} {'-':>15}", f"{'-':>9} {'-':>13} {'-':>9}"
-        if max(rows, cols) <= QUARTIC_LIMIT:
+        if len(dims) == 2 and max(dims) <= QUARTIC_LIMIT:
             kernel_s, _ = best_time(lambda: schwarz._max_minor(mat), args.repeats)
             max_s, _ = best_time(lambda: max_abs_minor(mat), args.repeats)
             share = evaluated_share(mat)
             kernel = f"{kernel_s:>9.4f} {minors / kernel_s:>15.3e}"
             maximum = f"{max_s:>9.4f} {minors / max_s:>13.3e} {share:>9.3%}"
+        label = "[" + ",".join(f"{n:>3}" if len(dims) == 2 else str(n) for n in dims) + "]"
         print(
-            f"[{rows:>3},{cols:>3}]{'*' if near else ' '}{minors:>10} {kernel} "
+            f"{label:>9}{'*' if near else ' '}{minors:>10} {kernel} "
             f"{sum_s:>9.4f} {minors / sum_s:>13.3e} {maximum} {report.value:>9.5f}"
         )
     return 0

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArityError, CertificateError, InternalConsistencyError, WorkBudgetError
-from .schwarz import _check_cut, _pivot_verdict, matricize, max_abs_minor, minor_sum_sq
+from .schwarz import _check_cut, _pivot_verdict, matricize, max_abs_minor
+from .schwarz import minor_sum_sq, minor_sums_sq
 from .states import Cut, PureState, normalize, peak_scaled
 
 DEFAULT_NORMALIZATION = 4.0
@@ -93,7 +94,9 @@ def concurrence(
     The state is normalized internally and unfolded along each of its cuts
     (cut 1 for two subsystems, cuts 1, 2, 3 for three); the squared moduli
     of all 2x2 minors of each unfolding are summed, and value =
-    sqrt(normalization * (S_1 + ...)).  Any other subsystem count is an
+    sqrt(normalization * (S_1 + ...)).  The one cut takes minor_sum_sq;
+    three cuts take minor_sums_sq, which runs cuts of one shape in one Gram
+    pass with the bits each has alone.  Any other subsystem count is an
     ArityError; a normalization that is not positive and finite is a
     ValueError.
     """
@@ -105,7 +108,8 @@ def concurrence(
         raise ValueError(f"normalization must be positive and finite, got {normalization}")
     s = normalize(state)
     cuts = (1,) if m == 2 else (1, 2, 3)
-    sums = [minor_sum_sq(matricize(s, j)) for j in cuts]
+    mats = [matricize(s, j) for j in cuts]
+    sums = [minor_sum_sq(mats[0])] if m == 2 else minor_sums_sq(mats)
     return ConcurrenceReport(
         value=math.sqrt(normalization * math.fsum(sums)),
         per_cut_sums=tuple(zip(cuts, sums)),

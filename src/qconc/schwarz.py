@@ -18,7 +18,8 @@ product, so every |minor| equals ``abs(M[a,c] * M[b,d] - M[a,d] * M[b,c])``
 bit for bit and those of M.T equal those of M; the largest modulus does
 not depend on the order or on the evaluator.  The sum of squared minors
 takes the Gram route (minor_sum_sq), whose bits do not depend on BLAS or
-its threads.
+its threads, and a matrix's sum has the same bits alone or stacked with
+others in one pass (minor_sums_sq).
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ _CHUNK = 1 << 13
 _SPLIT = float((1 << 27) + 1)
 _TILE = 1 << 17
 _BOUND = 2.0**-90
+_NO_ROW = -(1 << 11)  # exponent of a zero row, below every double's
 
 # Candidates for a step's largest |minor|: re*re + im*im within this factor
 # of the largest.  It is within a few ulps of |minor|^2 (while normal) and
@@ -209,99 +211,169 @@ def minor_sum_sq(mat) -> float:
     (K <= 9 slices), a gap by 2^-92 G_aa G_bb, so the result is within
     _BOUND ||M||_F^4 of the exact sum for M as given, plus its rounding.
     No bit depends on BLAS, its threads or FMA.  Never negative: a sum
-    below -_BOUND ||M||_F^4 raises InternalConsistencyError.
+    below -_BOUND ||M||_F^4 raises InternalConsistencyError.  This is the
+    one-matrix case of minor_sums_sq's pass (_gram_sums).
     """
+    return _gram_sums(_wide(mat)[None])[0]
+
+
+def minor_sums_sq(mats) -> list[float]:
+    """minor_sum_sq of each matrix, bit for bit, from one Gram pass per
+    stack: matrices of one shape, read wide, run together while the stack's
+    slices at their cap fit _TILE doubles (1 MiB); larger ones run alone."""
+    wide = [_wide(m) for m in mats]
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, x in enumerate(wide):
+        groups.setdefault(x.shape, []).append(i)
+    sums = [0.0] * len(wide)
+    for (r, c), index in groups.items():
+        per = max(1, _TILE // max(1, r * 2 * c * _slicing(2 * c)[1]))
+        for s in range(0, len(index), per):
+            part = index[s : s + per]
+            stack = np.stack([wide[i] for i in part]) if len(part) > 1 else wide[part[0]][None]
+            for i, total in zip(part, _gram_sums(stack)):
+                sums[i] = total
+    return sums
+
+
+def _wide(mat) -> np.ndarray:
+    """The checked entries of mat, read along the shorter axis, C-contiguous."""
     entries = _as_entries(mat)
-    if entries.shape[0] > entries.shape[1]:
-        entries = entries.T
-    x = np.ascontiguousarray(entries).view(np.float64)
-    peak = np.maximum.reduce(np.abs(x), axis=1, initial=0.0)
+    return np.ascontiguousarray(entries.T if entries.shape[0] > entries.shape[1] else entries)
+
+
+def _gram_sums(stack: np.ndarray) -> list[float]:
+    """minor_sum_sq of each matrix of the (S, r, c) stack, r <= c, in one pass.
+
+    Each matrix keeps its own row exponents, fsum, negative-sum check and
+    inf clamp, and the bits it has alone: the stack slices to its largest
+    K, and a matrix with a smaller K was not capped, so its extra slices
+    are exact zeros, as are those of its zero rows that another matrix
+    keeps; exact zeros and term order do not move a correctly rounded fsum.
+    """
+    x = stack.view(np.float64)
+    peak = np.maximum.reduce(np.abs(x), axis=2, initial=0.0)
+    e = np.frexp(peak)[1]  # row a's parts < 2**e_a
     nonzero = peak > 0.0  # zero rows have zero minors
-    if np.count_nonzero(nonzero) < 2:
-        return 0.0
-    e = np.frexp(peak[nonzero])[1]  # row a's parts < 2**e_a
-    top = sum(sorted(e.tolist())[-2:])
-    rho = 2 * e - top  # gap terms carry 2**(rho_a + rho_b)
-    d = np.zeros((2, len(e)))  # G_aa, high and low parts
-    total = math.fsum(chain.from_iterable(_gap_terms(*_slices(x[nonzero], e), rho, d)))
-    if total <= 0.0:
-        with np.errstate(over="ignore"):  # inf only clamps
-            trace = float(np.ldexp(d[0], rho).sum())
-        if total < -_BOUND * trace * trace:
-            raise InternalConsistencyError(f"minor sum {total} below its rounding bound")
-        return 0.0
-    try:
-        return math.ldexp(total, 2 * top)
-    except OverflowError:
-        return math.inf
+    if np.count_nonzero(nonzero) < nonzero.size:
+        keep = nonzero.any(axis=0)
+        x, e, nonzero = x[:, keep], e[:, keep], nonzero[:, keep]
+        e[~nonzero] = _NO_ROW
+    two = [sorted(v)[-2:] for v in e.tolist()]  # each matrix's two largest e
+    if len(two[0]) < 2 or max(t[0] for t in two) == _NO_ROW:
+        return [0.0] * len(two)
+    top = [sum(t) for t in two]
+    rho = 2 * e - np.array(top, dtype=e.dtype)[:, None]  # gap terms carry 2**(rho_a + rho_b)
+    d = np.zeros((2,) + e.shape)  # G_aa, high and low parts
+    tiles = _gap_terms(*_slices(x, e), rho, d)
+    if len(two) > 1:
+        tiles = list(tiles)  # every matrix's fsum reads every tile
+    sums = []
+    for s in range(len(top)):
+        total = math.fsum(chain.from_iterable(tile[s] for tile in tiles))
+        if total <= 0.0:  # also with fewer than two nonzero rows: all terms are exact zeros
+            with np.errstate(over="ignore"):  # inf only clamps
+                trace = float(np.ldexp(d[0, s], rho[s])[nonzero[s]].sum())
+            if total < -_BOUND * trace * trace:
+                raise InternalConsistencyError(f"minor sum {total} below its rounding bound")
+            total = 0.0
+        try:
+            sums.append(math.ldexp(total, 2 * top[s]))
+        except OverflowError:
+            sums.append(math.inf)
+    return sums
+
+
+def _slicing(width: int) -> tuple[int, int]:
+    """(beta, cap) for rows of width parts: slice bits and most slices."""
+    bits = (width - 1).bit_length()
+    beta = (51 - bits) // 2
+    return beta, -(-(220 + bits) // (2 * beta))
 
 
 def _slices(x: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, int]:
-    """Integer slices (z, beta) of the rows of x = [Re M | Im M], interleaved:
-    row a is sum_j z[a, j] 2**(e_a - beta (j + 1)), each part of z an
-    integer of at most beta bits.  beta <= (51 - log2 2c) / 2 keeps partial
-    sums of a level's (at most 13) slice products under 2**53 units, exact
-    in any order.  Slicing stops where rows are exact or at the cap: bits
-    below 2**-(110 + log2(2c) / 2) of a row's peak move a gap by under
-    2^-108 G_aa G_bb."""
-    width = (x.shape[1] - 1).bit_length()
-    beta = (51 - width) // 2
-    frac = np.ldexp(x, -e[:, None])
+    """Integer slices (z, beta) of the rows of x = [Re M | Im M], interleaved,
+    along its last axis: row a is sum_j z[..., a, j, :] 2**(e_a - beta (j + 1)),
+    each part of z an integer of at most beta bits.  beta <= (51 - log2 2c)
+    / 2 keeps partial sums of a level's (at most 13) slice products under
+    2**53 units, exact in any order.  Slicing stops where all rows are exact
+    or at the cap: bits below 2**-(110 + log2(2c) / 2) of a row's peak move
+    a gap by under 2^-108 G_aa G_bb."""
+    beta, cap = _slicing(x.shape[-1])
+    frac = np.ldexp(x, -e[..., None])
     need = 53 - int(np.minimum.reduce(np.frexp(frac)[1], axis=None))
-    k = min(-(-need // beta), -(-(220 + width) // (2 * beta)))
-    z = np.ldexp(frac[:, None], beta * np.arange(1, k + 1)[:, None])
+    k = min(-(-need // beta), cap)
+    z = np.ldexp(frac[..., None, :], beta * np.arange(1, k + 1, dtype=np.int32)[:, None])
     np.rint(z, out=z)
-    z[:, 1:] -= z[:, :-1] * 2.0**beta  # nearest on grid j less on grid j - 1
+    z[..., 1:, :] -= z[..., :-1, :] * 2.0**beta  # nearest on grid j less on grid j - 1
     return z.view(np.complex128), beta
 
 
 def _gap_terms(z: np.ndarray, beta: int, rho: np.ndarray, d: np.ndarray) -> Iterator[list]:
     """Yield the gaps' fsum terms per tile of rows a0..a1-1 by columns a0..,
-    as G_ba = conj(G_ab).  Matmuls form the slice products and their exact
-    sums per level i + j; TwoSum along the levels' running sum, finest
-    first, gives G in double-double.  Tiles run upwards, so d has each
-    G_bb.  One TwoProduct takes (G_aa, Re G_ab, Im G_ab) * (G_bb, -Re, -Im)."""
-    r, k, c = z.shape
+    one list per matrix of the (S, r, k, c) stack z, as G_ba = conj(G_ab).
+    Matmuls of the tile's conjugated slices, its only copy of z, form the
+    slice products of conj(G_ab) and their exact sums per level i + j; a
+    tile's products and its copy each hold at most _TILE values.  TwoSum
+    along the levels' running sum, finest first, gives conj(G) in
+    double-double.  Tiles run upwards, so d has each G_bb.  One TwoProduct
+    takes (G_aa, Re G_ab, -Im G_ab) * (G_bb, -Re, Im): rounding is odd in
+    the sign, so the terms are those of G itself."""
+    S, r, k, c = z.shape
     weights = _level_weights(k, beta)
-    zc = z.conj()
-    step = max(1, _TILE // (k * k * r))
+    last = 2 * k - 2  # the coarsest level
+    step = max(1, _TILE // (S * k * max(k * r, 2 * c)))
     for a1 in range(r, 0, -step):
         a0 = max(a1 - step, 0)
         n, m = a1 - a0, r - a0
-        p = z[a0:a1].reshape(n * k, c) @ zc[a0:].reshape(m * k, c).T
-        p = p.reshape(n, k, m, k).transpose(1, 3, 0, 2).reshape(k * k, -1)
+        rows = z[:, a0:a1].conj().reshape(S, n * k, c)
+        p = rows @ z[:, a0:].reshape(S, m * k, c).transpose(0, 2, 1)
+        p = p.reshape(S, n, k, m, k).transpose(2, 4, 0, 1, 3).reshape(k * k, -1)
         levels = weights @ p.view(np.float64)
-        acc = levels.copy()
-        for j in range(1, len(acc)):  # np.add.accumulate is slower
+        acc = np.empty((last + 2, levels.shape[1]))  # running sums, then lo
+        acc[0] = levels[0]
+        for j in range(1, last + 1):  # np.add.accumulate is slower
             np.add(acc[j - 1], levels[j], out=acc[j])
-        s, a = acc[1:], acc[:-1]
+        s, a = acc[1 : last + 1], acc[:last]
         bv = s - a
-        lo = a - (s - bv)
-        lo += levels[1:] - bv  # Knuth: acc + lo == previous acc + level
-        hi, lo = acc[-1], np.add.reduce(lo, axis=0)
-        d[0, a0:a1] = hi[:: 2 * m + 2]
-        d[1, a0:a1] = lo[:: 2 * m + 2]
-        w = np.empty((4, 3, n, m))  # x, y, lows
-        w[0::2, 0] = d[:, a0:a1, None]
-        w[1::2, 0] = d[:, None, a0:]
-        w[0, 1:] = hi.reshape(n, m, 2).transpose(2, 0, 1)
-        w[2, 1:] = lo.reshape(n, m, 2).transpose(2, 0, 1)
+        lo = s - bv
+        np.subtract(a, lo, out=lo)
+        np.subtract(levels[1:], bv, out=bv)
+        lo += bv  # Knuth: acc + lo == previous acc + level
+        lo = np.add.reduce(lo, axis=0, out=acc[-1])  # frees the levels' lo
+        hl = acc[-2:].reshape(2, S, n, m, 2)  # G, high and low parts
+        d[:, :, a0:a1] = hl.reshape(2, S, -1)[:, :, :: 2 * m + 2]
+        w = np.empty((4, 3, S, n, m))  # x, y, lows
+        w[0::2, 0] = d[:, :, a0:a1, None]
+        w[1::2, 0] = d[:, :, None, a0:]
+        w[0::2, 1:] = hl.transpose(0, 4, 1, 2, 3)
         np.negative(w[0::2, 1:], out=w[1::2, 1:])
         x, y, xl, yl = w
         t = w[:2] * _SPLIT
-        h = t - (t - w[:2])
-        t = w[:2] - h  # Veltkamp: h + t == (x, y), 26-bit parts
-        p = x * y
-        err = h[0] * h[1] - p
-        err += h[0] * t[1]
-        err += t[0] * h[1]
-        err += t[0] * t[1]  # Dekker: p + err == x * y
-        err += x * yl
-        err += xl * y
-        low = np.add.reduce(err, axis=0)
-        upper = np.arange(m) > np.arange(n)[:, None]
-        ex = (rho[a0:a1, None] + rho[a0:])[upper]
-        yield np.ldexp(p[:, upper], ex).ravel().tolist() + np.ldexp(low[upper], ex).tolist()
+        h = t - w[:2]
+        np.subtract(t, h, out=h)
+        np.subtract(w[:2], h, out=t)  # Veltkamp: h + t == (x, y), 26-bit parts
+        out = np.empty((4, S, n, m))  # p, then the low parts
+        p = np.multiply(x, y, out=out[:3])
+        err = h[0] * h[1]
+        err -= p
+        tmp = np.empty_like(err)
+        for f, g in ((h[0], t[1]), (t[0], h[1]), (t[0], t[1]), (x, yl), (xl, y)):
+            err += np.multiply(f, g, out=tmp)  # Dekker: p + err == x * y, then the lows
+        np.add.reduce(err, axis=0, out=out[3])
+        upper = _upper(n, m)
+        ex = (rho[:, a0:a1, None] + rho[:, None, a0:]).reshape(S, -1).take(upper, axis=1)
+        terms = np.ldexp(out.reshape(4, S, -1).take(upper, axis=2), ex)
+        yield terms.swapaxes(0, 1).reshape(S, -1).tolist()
+
+
+@lru_cache(maxsize=64)
+def _upper(n: int, m: int) -> np.ndarray:
+    """Read-only flat positions i m + j in an (n, m) tile of its pairs a < b
+    (row a0 + i, column a0 + j)."""
+    upper = np.flatnonzero(np.arange(m) > np.arange(n)[:, None])
+    upper.flags.writeable = False
+    return upper
 
 
 @lru_cache(maxsize=16)

@@ -10,7 +10,7 @@ from pathlib import Path
 import qconc.cli
 from qconc import emit_state
 
-from conftest import ghz_state
+from conftest import bell_state, ghz_state
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -43,3 +43,27 @@ def test_fullsep_run_records_every_layer(capsys, tmp_path):
         "concurrence.certificate",
         "schwarz.max_minor",
     } <= names
+
+
+def _traced_concurrence(state, tmp_path, capsys):
+    path = tmp_path / "state.json"
+    path.write_text(emit_state(state), encoding="utf-8")
+    tracer = _tracing().Tracer()
+    with tracer.patched():
+        code = qconc.cli.cli_main(["concurrence", "--state", str(path)])
+    capsys.readouterr()
+    return code, {span[0] for span in tracer.spans}
+
+
+def test_bipartite_concurrence_records_the_minor_sum(capsys, tmp_path):
+    # One cut runs through minor_sum_sq, the seam bipartite_haar times.
+    code, names = _traced_concurrence(bell_state(), tmp_path, capsys)
+    assert code == 0
+    assert {"cli.main", "concurrence.concurrence", "schwarz.minor_sum"} <= names
+
+
+def test_tripartite_concurrence_records_its_span(capsys, tmp_path):
+    # Three cuts run in one stacked Gram pass, which no patch point wraps.
+    code, names = _traced_concurrence(ghz_state(), tmp_path, capsys)
+    assert code == 0
+    assert {"cli.main", "concurrence.concurrence", "schwarz.matricize"} <= names
