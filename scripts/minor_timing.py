@@ -15,25 +15,37 @@ times the bare quartic kernel
 (schwarz._max_minor on every row pair of the cut-1 matricization) and
 max_abs_minor on the same matricization (the separability certificate's
 scan).  max_abs_minor runs one evaluator after its one pre-pass,
-schwarz._bounded_pairs, which keeps the row pairs whose Schwarz bound (or,
-on the near-product state, the pivot's Schur bound) reaches one exact
-lower bound: the quad evaluator on the minors of those pairs whose columns
-pass the column bound, where the Schwarz bound pruned and at most 8192 such
-minors remain, else the offset kernel on every minor of the kept pairs.
+schwarz._bounded_pairs.  That reads |x|, the pivot and the minors through
+it once (schwarz._pivot_minors), keeps the row pairs whose Schwarz bound
+(or, on the near-product state, the pivot's Schur bound) reaches one exact
+lower bound, and hands over what the evaluator takes: the minors of those
+pairs whose columns pass the column bound, for the quad evaluator, where
+the Schwarz bound pruned and at most 8192 such minors remain, else the
+kept pairs, for the offset kernel.
 It prints the minor count, the best wall time of each, their throughput
 in minors per second (of all minors, also for the max), and the share of
 the minors the max evaluated, counted in one extra, untimed call.
+
+BLAS runs on one thread, as in perfbench/run.py, unless the thread
+variables (THREAD_VARS) are set; the header prints them.  With a default
+thread pool, idle BLAS threads can slow whatever runs after a matmul.
 """
 
 import argparse
 import math
+import os
 import sys
 import time
 from unittest import mock
 
-import numpy as np
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+for _var in THREAD_VARS:  # before numpy loads its BLAS
+    os.environ.setdefault(_var, "1")
 
-from qconc import concurrence, make_state, matricize, max_abs_minor, schwarz
+import numpy as np  # noqa: E402
+
+from qconc import concurrence, make_state, matricize, max_abs_minor, schwarz  # noqa: E402
 
 
 # Largest dimension at which the quartic kernel and max_abs_minor are timed.
@@ -90,6 +102,7 @@ def main() -> int:
     if args.repeats < 1:
         parser.error(f"--repeats must be at least 1, got {args.repeats}")
 
+    print("threads: " + " ".join(f"{var}={os.environ[var]}" for var in THREAD_VARS))
     print(
         f"{'dims':>10} {'minors':>10} {'kernel s':>9} {'kernel minors/s':>15} "
         f"{'sum s':>9} {'sum minors/s':>13} {'max s':>9} {'max minors/s':>13} {'max share':>9} "

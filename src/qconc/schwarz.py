@@ -16,10 +16,11 @@ block of row pairs and column offset, and the quad evaluator (_quad_max)
 one minor per explicit (a, b, j, k), both in the order of a scalar complex
 product, so every |minor| equals ``abs(M[a,c] * M[b,d] - M[a,d] * M[b,c])``
 bit for bit and those of M.T equal those of M; the largest modulus does
-not depend on the order or on the evaluator.  The sum of squared minors
-takes the Gram route (minor_sum_sq), whose bits do not depend on BLAS or
-its threads, and a matrix's sum has the same bits alone or stacked with
-others in one pass (minor_sums_sq).
+not depend on the order or on the evaluator.  What the max prunes, and
+the peel's verdicts, read one pass over the matrix (_pivot_minors).  The
+sum of squared minors takes the Gram route (minor_sum_sq), whose bits do
+not depend on BLAS or its threads, and a matrix's sum has the same bits
+alone or stacked with others in one pass (minor_sums_sq).
 """
 
 from __future__ import annotations
@@ -391,28 +392,25 @@ def max_abs_minor(mat) -> float:
     """Largest |minor|; 0.0 for degenerate shapes, NaN if any minor is NaN.
 
     |minor| is libm hypot(re, im), the function behind abs(complex).  One
-    evaluator runs, with the full scan's bits.  Where the Schwarz bound
-    prunes row pairs (_bounded_pairs) and the column bound leaves at most
-    _CHUNK of their minors (_column_quads), the quad evaluator takes those;
-    otherwise the offset kernel scans every minor of the kept row pairs, or
-    of all of them where nothing is pruned.
+    evaluator runs, with the full scan's bits: the quad evaluator on the
+    minors _bounded_pairs lists, else the offset kernel on the row pairs it
+    keeps, or on all of them where it prunes nothing.
     """
     entries = _as_entries(mat)
     x = entries.T if entries.shape[0] < entries.shape[1] else entries
     bounded = _bounded_pairs(x)
-    if bounded is None:
-        return _max_minor(x)
-    a, b, low, by_h = bounded
-    quads = _column_quads(x, a, b, low) if by_h else None
-    return _max_minor(x, (a, b)) if quads is None else _quad_max(x, *quads)
+    if bounded is not None and bounded[3] is not None:
+        return _quad_max(x, *bounded[3])
+    return _max_minor(x, None if bounded is None else bounded[:2])
 
 
-def _bounded_pairs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, bool] | None:
-    """(a, b, L, by_h): the row pairs (a, b), lexicographic, of x read tall
-    as the kernel reads it that can hold the largest |minor|, the lower
-    bound L they were tested against, and whether the Schwarz bound (True)
-    or the pivot's Schur bound (False) dropped the others; None if no pair
-    is dropped.
+def _bounded_pairs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, tuple | None] | None:
+    """(a, b, L, quads) from one pass over x read tall (_pivot_minors): the
+    row pairs (a, b), lexicographic, that can hold the largest |minor|, the
+    lower bound L they were tested against, and, where the Schwarz bound
+    dropped the others, the minors of theirs that pass the column bound
+    (_column_quads; None past _CHUNK of them, or where the Schur bound
+    dropped the others); None if no pair is dropped.
 
     Both bounds are tested against L, the largest |D| through the pivot as
     the kernel computes it (_modulus), raised where the Schwarz bound prunes
@@ -448,15 +446,14 @@ def _bounded_pairs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, bool] 
     total = nr * (nr - 1) // 2
     if total * (nc * (nc - 1) // 2) <= _CHUNK or total > _PRUNE_PAIRS:
         return None
-    peak, top, u, minors = _pivot_minors(x)
-    mod = np.abs(x)
-    r, c = divmod(int(np.argmax(mod)), nc)
-    minors[r] = minors[:, c] = 0.0  # a row or a column with itself: noise, or NaN
+    r, c, mod, minors = _pivot_minors(x)
     low = _modulus(x, r, c, *divmod(int(np.argmax(minors)), nc))
     if not 2.0**-1000 <= low < math.inf:
         return None
-    a, b = _all_pairs(nr, total)
-    h = np.hypot(*_top_two(mod + _TINY).T)
+    a, b = (_pair_block if total <= _CHUNK else _pair_block.__wrapped__)(nr, 0, total)
+    padded = mod + _TINY
+    two = _top_two(padded)
+    h = np.hypot(*two.T)
     with np.errstate(over="ignore"):
         bound = h.take(a) * h.take(b)
     if not (bound >= low * _BAND).all():  # Schwarz prunes; a larger L prunes more
@@ -468,36 +465,37 @@ def _bounded_pairs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, bool] 
         wider = _modulus(x, i[k], j[k], i[l], j[l])
         low = wider if low < wider < math.inf else low
         keep = bound >= low * _BAND
-        return a[keep], b[keep], low, True
+        a, b = a[keep], b[keep]
+        return a, b, low, _column_quads(padded, two[:, 1], a, b, low)
+    peak, top = float(mod[r, c]), float(minors.max())
     pad = _PAD * peak * peak
     if not (2.0**-400 <= peak <= 2.0**400 and top > pad):
         return None
     two = _top_two(minors) / peak  # of |S|
     s, t = two[:, 1], two[:, 0] + two[:, 1]
-    ta, tb = t.take(a), t.take(b)
+    u, ta, tb = mod[:, c], t.take(a), t.take(b)
     bound = u.take(a) * tb + u.take(b) * ta + np.minimum(s.take(a) * tb, s.take(b) * ta)
     keep = bound + pad >= low
-    return None if keep.all() else (a[keep], b[keep], low, False)
+    return None if keep.all() else (a[keep], b[keep], low, None)
 
 
 def _column_quads(
-    x: np.ndarray, a: np.ndarray, b: np.ndarray, low: float
+    mod: np.ndarray, peak: np.ndarray, a: np.ndarray, b: np.ndarray, low: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
     """The minors (a, b, j, k), j < k, of the row pairs a, b of the tall x
-    whose columns both pass the column bound against L = low; None if there
-    are more than _CHUNK of them.
+    whose columns both pass the column bound against L = low, None if more
+    than _CHUNK; mod is |x| + _TINY and peak its row maxima, as the Schwarz
+    bound reads them.
 
     No minor of rows a, b at columns j, k exceeds |x_aj| |x_bk| + |x_ak|
     |x_bj| <= g_j = |x_aj| m_b + m_a |x_bj| (m_a the largest |x[a, :]|), nor
     g_k, so only minors whose columns both have g >= L (1 - 2**-40) can be
     as large as L.  The kernel's |minor| strays from the exact one by a few
     ulps of |x_aj| |x_bk| + |x_ak| |x_bj|, within the Schwarz bound's slack;
-    _TINY is added to every |x| as there, and an overflowed g is kept.  The
-    pairs are taken in blocks of at most _PRUNE_PAIRS entries of g.
+    an overflowed g is kept.  The pairs are taken in blocks of at most
+    _PRUNE_PAIRS entries of g.
     """
-    nc = x.shape[1]
-    mod = np.abs(x) + _TINY
-    peak = mod.max(axis=1)
+    nc = mod.shape[1]
     step = max(1, _PRUNE_PAIRS // nc)
     live, quads = [], 0
     for s in range(0, a.size, step):
@@ -556,15 +554,17 @@ def _pivot_verdict(x: np.ndarray, tolerance: float) -> bool | None:
     if a minor through it proves entanglement, True if its Schur bound
     proves separability, else None.  x is peak-scaled (P in [0.5, 2)).
 
-    The kernel's largest |minor| is at least L - 29u P^2 (_pivot_minors),
-    so L - 64u P^2 (rounded by 2u P^2) above the limit means entangled.
+    P and L = max |D| come from _pivot_minors, the pass _bounded_pairs
+    reads; the kernel's largest |minor| is at least L - 29u P^2 there, so
+    L - 64u P^2 (rounded by 2u P^2) above the limit means entangled.
     By the Schur identity (_bounded_pairs) with |u_a| <= P, |v_j| <= 1 and
     |S| <= L/P, no exact minor exceeds 4L + 2L^2/P^2; L within 9u P^2 of
     the exact max |D| <= 2 P^2 moves that by at most 108u P^2, the kernel
     strays by 20u P^2 and the bound (under 16 P^2) rounds by 64u P^2:
     _PAD P^2 covers all three.
     """
-    peak, top, _, _ = _pivot_minors(x)
+    r, c, mod, minors = _pivot_minors(x)
+    peak, top = float(mod[r, c]), float(minors.max())
     scale = peak**2
     limit = tolerance * scale
     if top - 64 * _U * scale > limit:
@@ -572,11 +572,13 @@ def _pivot_verdict(x: np.ndarray, tolerance: float) -> bool | None:
     return True if 4 * top + 2 * (top / peak) ** 2 + _PAD * scale <= limit else None
 
 
-def _pivot_minors(x: np.ndarray) -> tuple[float, float, np.ndarray, np.ndarray]:
-    """(P, max |D|, |u|, |D|) of the pivot p = x[r, c], the first entry of
-    the largest modulus P: u = x[:, c] and D = p x - u x[r, :], the minors
-    through the pivot (D[a, j] is the minor of rows r, a at columns c, j;
-    D / p is the pivot's Schur complement).
+def _pivot_minors(x: np.ndarray) -> tuple[int, int, np.ndarray, np.ndarray]:
+    """(r, c, |x|, |D|), the one pass over x: the pivot p = x[r, c], first
+    entry of the largest modulus P, and D = p x - u x[r, :], u = x[:, c],
+    the minors through it (D[a, j]: rows r, a at columns c, j; D / p is the
+    Schur complement).  Row r and column c of |D|, a row or a column with
+    itself, are 0, not rounding noise (numpy's complex product does not
+    commute bit for bit) nor NaN where P^2 overflows.
 
     The kernel's largest |minor| is at least max |D| - 29u P^2 (u =
     2**-53): a computed D is within 7u P^2 of the exact minor (two complex
@@ -591,10 +593,5 @@ def _pivot_minors(x: np.ndarray) -> tuple[float, float, np.ndarray, np.ndarray]:
     r, c = divmod(int(np.argmax(mod)), x.shape[1])
     with np.errstate(over="ignore", invalid="ignore"):
         minors = np.abs(x * x[r, c] - np.multiply.outer(x[:, c], x[r]))
-    return float(mod[r, c]), float(minors.max()), mod[:, c], minors
-
-
-def _all_pairs(nr: int, total: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every row pair (a, b), a < b, of nr rows, lexicographic; cached up to
-    _CHUNK pairs."""
-    return (_pair_block if total <= _CHUNK else _pair_block.__wrapped__)(nr, 0, total)
+    minors[r] = minors[:, c] = 0.0
+    return r, c, mod, minors

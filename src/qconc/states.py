@@ -136,7 +136,9 @@ def normalize(state: PureState) -> PureState:
     The norm is taken of the peak_scaled amplitudes, so a state of any
     finite magnitude normalizes.  Where the plain norm neither overflows nor
     underflows and no part is below 2**-1021 times the largest, the result
-    equals the amplitudes divided by their plain norm, bit for bit.
+    equals the amplitudes divided by their plain norm, bit for bit.  Past
+    about 10,000 amplitudes the norm is a threaded BLAS dot, so these bits,
+    and so concurrence, factors and CLI output, depend on the thread count.
     """
     amps, _ = peak_scaled(state)
     return PureState(state.dims, amps / np.linalg.norm(amps))

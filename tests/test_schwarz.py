@@ -1137,7 +1137,8 @@ class TestPivotVerdict:
         for seed in range(150):
             m = _verdict_case(kind, seed)
             for x in (m, m.T):
-                peak, top, _, _ = schwarz._pivot_minors(x)
+                r, c, mod, minors = schwarz._pivot_minors(x)
+                peak, top = mod[r, c], minors.max()
                 scale = peak**2
                 bound = 4 * top + 2 * (top / peak) ** 2 + schwarz._PAD * scale
                 worst = _all_pairs_max(x)
@@ -1147,6 +1148,20 @@ class TestPivotVerdict:
                     assert verdict in (None, worst <= tol * scale), (seed, tol)
                     proven[verdict] += 1
         assert min(proven[False], proven[True]) >= 50  # both verdicts are exercised
+
+    def test_self_minors_are_zero(self):
+        # The minors of the pivot's row or column with itself are exact
+        # zeros for every reader of the pass, not rounding noise (numpy's
+        # complex product does not commute bit for bit) nor NaN where P^2
+        # overflows.
+        for seed in range(200):
+            x = _gaussian(np.random.default_rng(seed), 64, 8)
+            r, c, _, minors = schwarz._pivot_minors(x)
+            assert not minors[r].any() and not minors[:, c].any(), seed
+        x = 1e300 * np.exp(1j * np.random.default_rng(0).uniform(0, 7, (4, 4)))
+        r, c, _, minors = schwarz._pivot_minors(x)
+        assert np.isnan(minors).any()  # P^2 overflows
+        assert not minors[r].any() and not minors[:, c].any()
 
 
 def _evaluated(m):
@@ -1208,6 +1223,7 @@ class TestPruningWork:
             mat = matricize(make_state(dims, peak_scaled(state)[0]), 1)
         value, calls = _evaluator_calls(mat)
         assert calls == (quads, 1 - quads)
+        assert (schwarz._bounded_pairs(mat)[3] is not None) == bool(quads)
         assert value.hex() == _all_pairs_max(mat).hex()
 
     def test_product_cut_evaluates_every_minor(self):
@@ -1300,7 +1316,7 @@ class TestQuadEvaluator:
             value, calls = _evaluator_calls(m)
             assert calls == (1, 0), seed
             assert value.hex() == _all_pairs_max(m).hex(), seed
-            a, b, low, by_h = schwarz._bounded_pairs(m)
+            a, b, low, _ = schwarz._bounded_pairs(m)
             mod = np.abs(m) + schwarz._TINY
             peak = mod.max(axis=1)
             g = mod[a] * peak[b, None] + peak[a, None] * mod[b]
@@ -1316,6 +1332,7 @@ class TestQuadEvaluator:
         m = np.exp(1j * rng.uniform(0, 2 * np.pi, (64, 64)))
         m[0] *= 0.4
         assert schwarz._bounded_pairs(m)[0].size == 1953
+        assert schwarz._bounded_pairs(m)[3] is None  # no quads: the kernel scans
         tracemalloc.start()
         try:
             value, calls = _evaluator_calls(m)

@@ -53,8 +53,21 @@ def test_bad_arguments_exit_two(argv):
     assert not run.stdout
 
 
-def _run(argv):
+def test_minor_timing_pins_blas_to_one_thread():
+    # As the benchmark does: without the thread variables the script sets
+    # them to 1 before numpy loads, and says so in its header.
+    threads = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+    run = _run(["minor_timing.py", "--dims", "2", "--repeats", "1"], unset=threads)
+    assert run.returncode == 0, run.stderr
+    header = run.stdout.splitlines()[0]
+    assert header == "threads: " + " ".join(f"{var}=1" for var in threads)
+
+
+def _run(argv, unset=()):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for var in unset:
+        env.pop(var, None)
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
         env=env, capture_output=True, text=True, timeout=120,
