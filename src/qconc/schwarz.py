@@ -53,8 +53,7 @@ _BAND = 1.0 - 2.0**-40
 _TINY = float(np.finfo(np.float64).tiny)
 
 _PRUNE_PAIRS = 1 << 19  # most row pairs _bounded_pairs takes: 8 MiB of indices
-_U = 2.0**-53  # unit roundoff
-_PAD = 512 * _U  # rounding pad of the pivot's Schur bound, times P^2
+_PAD = 512 * 2.0**-53  # rounding pad of the pivot's Schur bound, 512u, times P^2
 
 
 def schwarz_gap(x1, x2) -> float:
@@ -412,8 +411,8 @@ def _bounded_pairs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, tuple 
     (_column_quads; None past _CHUNK of them, or where the Schur bound
     dropped the others); None if no pair is dropped.
 
-    Both bounds are tested against L, the largest |D| through the pivot as
-    the kernel computes it (_modulus), raised where the Schwarz bound prunes
+    Both bounds are tested against L, the kernel's |minor| at the largest
+    |D| through the pivot (_pivot_low), raised where the Schwarz bound prunes
     to the largest |minor| with two of the 2 nc largest entries on its
     diagonal (nc >= 2 columns; a row or a column with itself, which only
     rounding noise can pick, raises nothing).  Schwarz: no minor of rows
@@ -447,7 +446,7 @@ def _bounded_pairs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, tuple 
     if total * (nc * (nc - 1) // 2) <= _CHUNK or total > _PRUNE_PAIRS:
         return None
     r, c, mod, minors = _pivot_minors(x)
-    low = _modulus(x, r, c, *divmod(int(np.argmax(minors)), nc))
+    low = _pivot_low(x, r, c, minors)
     if not 2.0**-1000 <= low < math.inf:
         return None
     a, b = (_pair_block if total <= _CHUNK else _pair_block.__wrapped__)(nr, 0, total)
@@ -550,26 +549,28 @@ def _top_two(a: np.ndarray) -> np.ndarray:
 
 
 def _pivot_verdict(x: np.ndarray, tolerance: float) -> bool | None:
-    """max_abs_minor(x) <= tolerance P^2 where the pivot settles it: False
-    if a minor through it proves entanglement, True if its Schur bound
-    proves separability, else None.  x is peak-scaled (P in [0.5, 2)).
+    """max_abs_minor(x) <= tolerance P^2 where the pivot settles it: True
+    if its Schur bound proves it, False if L (_pivot_low), which the scan
+    finds, exceeds the limit, else None.  x is peak-scaled (P in [0.5, 2)).
 
-    P and L = max |D| come from _pivot_minors, the pass _bounded_pairs
-    reads; the kernel's largest |minor| is at least L - 29u P^2 there, so
-    L - 64u P^2 (rounded by 2u P^2) above the limit means entangled.
-    By the Schur identity (_bounded_pairs) with |u_a| <= P, |v_j| <= 1 and
-    |S| <= L/P, no exact minor exceeds 4L + 2L^2/P^2; L within 9u P^2 of
-    the exact max |D| <= 2 P^2 moves that by at most 108u P^2, the kernel
-    strays by 20u P^2 and the bound (under 16 P^2) rounds by 64u P^2:
-    _PAD P^2 covers all three.
+    With T = max |D| (_pivot_minors), the Schur identity (_bounded_pairs),
+    |u_a| <= P, |v_j| <= 1 and |S| <= T/P, no exact minor exceeds 4T +
+    2T^2/P^2; T within 9u P^2 of the exact max |D| <= 2 P^2 moves that by
+    at most 108u P^2, the kernel strays by 20u P^2 and the bound (under
+    16 P^2) rounds by 64u P^2: _PAD P^2 covers all three.
     """
     r, c, mod, minors = _pivot_minors(x)
     peak, top = float(mod[r, c]), float(minors.max())
     scale = peak**2
     limit = tolerance * scale
-    if top - 64 * _U * scale > limit:
-        return False
-    return True if 4 * top + 2 * (top / peak) ** 2 + _PAD * scale <= limit else None
+    if 4 * top + 2 * (top / peak) ** 2 + _PAD * scale <= limit:
+        return True
+    return False if _pivot_low(x, r, c, minors) > limit else None
+
+
+def _pivot_low(x: np.ndarray, r: int, c: int, minors: np.ndarray) -> float:
+    """L: the kernel's own |minor| (_modulus) at the first largest |D|."""
+    return _modulus(x, r, c, *divmod(int(np.argmax(minors)), minors.shape[1]))
 
 
 def _pivot_minors(x: np.ndarray) -> tuple[int, int, np.ndarray, np.ndarray]:
@@ -580,14 +581,12 @@ def _pivot_minors(x: np.ndarray) -> tuple[int, int, np.ndarray, np.ndarray]:
     itself, are 0, not rounding noise (numpy's complex product does not
     commute bit for bit) nor NaN where P^2 overflows.
 
-    The kernel's largest |minor| is at least max |D| - 29u P^2 (u =
-    2**-53): a computed D is within 7u P^2 of the exact minor (two complex
-    products within sqrt(5) u P^2 each, one subtraction of values up to
-    2 P^2), its hypot within 2u P^2, and the kernel's |minor| within 20u P^2
-    of the exact one (four products, two differences and one of parts up
-    to P^2, 2 P^2 and 4 P^2, then hypot).  This holds for 2**-400 <= P <=
-    2**400, where no product overflows and underflow, absolute, is far
-    below u P^2; callers check P.
+    A computed |D| is within 9u P^2 of its exact minor (u = 2**-53; two
+    complex products within sqrt(5) u P^2 each, one subtraction of values
+    up to 2 P^2, hypot), the kernel's |minor| within 20u P^2 (four
+    products, three differences of parts up to P^2, 2 P^2 and 4 P^2,
+    hypot), for 2**-400 <= P <= 2**400, where no product overflows and
+    underflow, absolute, is far below u P^2; callers check P.
     """
     mod = np.abs(x)
     r, c = divmod(int(np.argmax(mod)), x.shape[1])

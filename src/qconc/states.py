@@ -145,7 +145,7 @@ def normalize(state: PureState) -> PureState:
 
 
 def amplitude(state: PureState, multi_index) -> complex:
-    """Amplitude at the 1-based multi-index (i_1, ..., i_m), stored row-major."""
+    """Amplitude at the 1-based integer multi-index (i_1, ..., i_m), stored row-major."""
     if len(multi_index) != state.subsystem_count:
         raise IndexError(
             f"multi-index length {len(multi_index)} does not match "
@@ -153,8 +153,8 @@ def amplitude(state: PureState, multi_index) -> complex:
         )
     flat = 0
     for i, n in zip(multi_index, state.dims):
-        if not 1 <= i <= n:
-            raise IndexError(f"index {i} out of range 1..{n}")
+        if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 1 <= i <= n:
+            raise IndexError(f"index {i!r} out of range 1..{n}")
         flat = flat * n + (i - 1)
     return complex(state.amps[flat])
 

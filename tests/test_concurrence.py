@@ -614,6 +614,16 @@ class TestOneScanPerCertificate:
         assert calls == [(2, 2), (2, 2)]
         assert result.remainder_subsystems == (1, 2)
         assert [f[0] for f in result.factors] == [3]
+        # The same on [8, 8, 8]: a Haar pair on subsystems 1-2 times a Haar
+        # qudit.  Its entangled cuts 1 and 2 come before the separable cut
+        # 3, as in no benchmark workload; only the remainder's two cuts
+        # are scanned.
+        calls.clear()
+        pair = sample_state(SamplerSpec((8, 8), "haar", 3))
+        result = full_separability(tensor(pair, sample_state(SamplerSpec((8,), "haar", 4))))
+        assert calls == [(8, 8), (8, 8)]
+        assert result.remainder_subsystems == (1, 2)
+        assert [f[0] for f in result.factors] == [3]
 
 
 def _peel_by_scan(state, tolerance):
@@ -756,9 +766,9 @@ class TestFullSeparabilityMatchesScan:
     def test_tolerance_at_the_scanned_minor(self, seed):
         # The tolerance puts the limit at the scan's largest |minor|, or the
         # least float above it (separable: max <= limit), or just below it
-        # (entangled).  Both
-        # shortcuts see the same minors with other roundings; only their
-        # pads keep them from deciding these cuts the other way.
+        # (entangled).  The Schur shortcut sees the same minors with other
+        # roundings, and only its pad keeps it from deciding these cuts the
+        # other way; the entangled one reads a modulus the scan computes.
         rng = np.random.default_rng(seed)
         dims = [(2, 2), (2, 3), (3, 2), (2, 5)][seed % 4]
         state = make_state(list(dims), rng.standard_normal(dims) + 1j * rng.standard_normal(dims))

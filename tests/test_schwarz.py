@@ -1149,6 +1149,31 @@ class TestPivotVerdict:
                     proven[verdict] += 1
         assert min(proven[False], proven[True]) >= 50  # both verdicts are exercised
 
+    @pytest.mark.parametrize("kind", ["haar", "near_ent"])
+    def test_entangled_once_the_modulus_exceeds_the_limit(self, kind):
+        # L, the kernel's own |minor| at the largest |D|, is a minor the
+        # scan finds, so a limit tol P^2 just below it proves the cut
+        # entangled with no margin.  With the limit at L the scan may find
+        # nothing larger, so the verdict is never False there.
+        for seed in range(8):
+            if kind == "haar":
+                state = sample_state(SamplerSpec((8, 8, 8), "haar", seed))
+                amps, _ = peak_scaled(normalize(state))
+                m = matricize(make_state([8, 8, 8], amps), 1 + seed % 3)
+            else:
+                m = _verdict_case(kind, seed)
+            for x in (m, m.T):
+                r, c, mod, minors = schwarz._pivot_minors(x)
+                low = schwarz._modulus(x, r, c, *divmod(int(np.argmax(minors)), x.shape[1]))
+                scale = float(mod[r, c]) ** 2
+                below = _tolerance_below(low, scale)
+                assert low - below * scale <= 4 * math.ulp(low), (seed, x.shape)
+                assert schwarz._pivot_verdict(x, below) is False, (seed, x.shape)
+                at = math.nextafter(below, math.inf)  # the least tol with tol P^2 >= L
+                assert at * scale >= low
+                assert schwarz._pivot_verdict(x, at) is not False, (seed, x.shape)
+                assert max_abs_minor(x) >= low
+
     def test_self_minors_are_zero(self):
         # The minors of the pivot's row or column with itself are exact
         # zeros for every reader of the pass, not rounding noise (numpy's
@@ -1162,6 +1187,18 @@ class TestPivotVerdict:
         r, c, _, minors = schwarz._pivot_minors(x)
         assert np.isnan(minors).any()  # P^2 overflows
         assert not minors[r].any() and not minors[:, c].any()
+
+
+def _tolerance_below(limit, scale):
+    """The largest tolerance whose tol * scale, as computed, is below limit:
+    the largest double below limit where a tolerance reaches it (scale
+    times the tolerances' ulp can step over it)."""
+    tol = limit / scale
+    while tol * scale >= limit:
+        tol = math.nextafter(tol, 0.0)
+    while math.nextafter(tol, math.inf) * scale < limit:
+        tol = math.nextafter(tol, math.inf)
+    return tol
 
 
 def _evaluated(m):

@@ -16,6 +16,7 @@ ROOT = Path(__file__).resolve().parents[1]
         ["benchmark_states.py"],
         ["oracle_crosscheck.py", "--states", "3"],
         ["minor_timing.py", "--dims", "4", "--repeats", "1"],
+        ["output_digest.py", "--states", "1"],
     ],
     ids=lambda argv: argv[0],
 )
@@ -42,6 +43,7 @@ def test_script_exits_zero(argv):
         ["minor_timing.py", "--dims", "0"],
         ["minor_timing.py", "--dims", "4", "-3"],
         ["minor_timing.py", "--repeats", "0"],
+        ["output_digest.py", "--states", "0"],
     ],
     ids=" ".join,
 )

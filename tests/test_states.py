@@ -197,6 +197,12 @@ class TestIndexing:
             amplitude(s, (1, 4))
         with pytest.raises(IndexError):
             amplitude(s, (3, 1))
+        # Only integers index, as for cuts: a bool, float or string is
+        # refused, a numpy integer is not.
+        for bad in [(True, 1), (1, False), (1.0, 2), (2, 3.0), ("1", 1), (1, "2")]:
+            with pytest.raises(IndexError):
+                amplitude(s, bad)
+        assert amplitude(s, (np.int64(2), np.uint8(3))) == 6
 
     def test_wrong_arity_raises(self):
         s = make_state([2, 3], np.arange(1, 7))
