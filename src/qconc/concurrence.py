@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArityError, CertificateError, InternalConsistencyError, WorkBudgetError
-from .schwarz import _check_cut, _pivot_verdict, matricize, max_abs_minor
-from .schwarz import minor_sum_sq, minor_sums_sq
+from .schwarz import _check_cut, _pivot_minors, _pivot_verdict, _unfold, matricize
+from .schwarz import max_abs_minor, minor_sum_sq, minor_sums_sq
 from .states import Cut, PureState, normalize, peak_scaled
 
 DEFAULT_NORMALIZATION = 4.0
@@ -157,8 +157,16 @@ def _check_budget(state: PureState, cut: Cut) -> None:
         raise WorkBudgetError(msg)
 
 
+def _cut_context(amps: np.ndarray, e: int, nrm: float, dims, cut: Cut) -> tuple:
+    """(entries, e, nrm, pivot), all a certificate reads of one cut: the
+    unfolding of the peak_scaled amplitudes amps (times 2**-e), the norm
+    of amps, which normalize divides by, and _pivot_minors(entries)."""
+    entries = _unfold(amps, dims, cut)
+    return entries, e, nrm, _pivot_minors(entries)
+
+
 def is_separable_cut(
-    state: PureState, cut: Cut, tolerance: float = DEFAULT_TOLERANCE
+    state: PureState, cut: Cut, tolerance: float = DEFAULT_TOLERANCE, *, _cut=None
 ) -> SeparabilityCertificate:
     """Certify whether ``state`` factors across the given one-vs-rest cut.
 
@@ -170,21 +178,24 @@ def is_separable_cut(
     depend on the input's normalization: it is decided on the peak_scaled
     amplitudes, which no magnitude overflows or underflows, and the
     reported max_abs_minor is scaled back (inf beyond the double range).
-    Factors are attached exactly when separable.
+    Factors are attached exactly when separable.  The cut's unfolding,
+    scale and pivot pass (_cut_context) are read once: the scan takes the
+    pivot pass (max_abs_minor's _pivot) and the peak P is its pivot's
+    modulus.  full_separability hands in as _cut the context it tested.
     """
     tolerance = _check_tolerance(tolerance)
     if state.subsystem_count < 2:
         raise ArityError("separability across a cut needs at least 2 subsystems")
     _check_budget(state, cut)
-    amps, e = peak_scaled(state)
-    entries = matricize(PureState(state.dims, amps), cut)
-    worst = max_abs_minor(entries)
-    scale = float(np.max(np.abs(amps))) ** 2
+    if _cut is None:
+        amps, e = peak_scaled(state)
+        _cut = _cut_context(amps, e, float(np.linalg.norm(amps)), state.dims, cut)
+    entries, e, nrm, pivot = _cut
+    worst = max_abs_minor(entries, _pivot=pivot)
+    r, c, mod, _ = pivot
+    scale = float(mod[r, c]) ** 2
     separable = worst <= tolerance * scale
-    factors = None
-    if separable:
-        nrm = float(np.linalg.norm(amps))  # as normalize(state) divides
-        factors = _rank_one_factors(entries / nrm, state, cut)
+    factors = _rank_one_factors(entries / nrm, state, cut) if separable else None
     with np.errstate(over="ignore"):
         reported = float(np.ldexp(worst, 2 * e))
     return SeparabilityCertificate(
@@ -228,7 +239,8 @@ def full_separability(
     subsystem.  For exact product states the greedy order does not affect
     the verdict; it only fixes which certificates are reported.  Each
     verdict is is_separable_cut's; the scan runs only where _pivot_verdict
-    leaves it open, or for the certificates reported when no cut splits.
+    leaves it open, or for the certificates reported when no cut splits,
+    and both read the one context (_cut_context) of each tested cut.
     The tolerance is checked first, as in is_separable_cut, even where one
     subsystem leaves no cut to test.  Cuts over the work budget, checked on
     the input, are refused before normalizing.
@@ -240,26 +252,26 @@ def full_separability(
     ids = list(range(1, state.subsystem_count + 1))
     factors: list[tuple[int, PureState]] = []
     while len(ids) > 1:
-        amps, _ = peak_scaled(current)  # as is_separable_cut scales it
-        scaled = PureState(current.dims, amps)
+        amps, e = peak_scaled(current)  # as is_separable_cut scales it
         nrm = float(np.linalg.norm(amps))
-        certificates: list[SeparabilityCertificate | None] = []  # None: proven entangled
+        tested: list[tuple[tuple, SeparabilityCertificate | None]] = []  # None: proven entangled
         for pos in range(1, len(ids) + 1):
-            entries = matricize(scaled, pos)
-            separable, cert = _pivot_verdict(entries, tolerance), None
+            ctx = _cut_context(amps, e, nrm, current.dims, pos)
+            entries, _, _, pivot = ctx
+            separable, cert = _pivot_verdict(entries, tolerance, pivot), None
             if separable is None:
-                cert = is_separable_cut(current, pos, tolerance)
+                cert = is_separable_cut(current, pos, tolerance, _cut=ctx)
                 separable = cert.separable
             if separable:
                 split = cert.factors if cert else _rank_one_factors(entries / nrm, current, pos)
                 u, current = split
                 factors.append((ids.pop(pos - 1), u))
                 break
-            certificates.append(cert)
+            tested.append((ctx, cert))
         else:
             failed = tuple(
-                cert or is_separable_cut(current, pos, tolerance)
-                for pos, cert in enumerate(certificates, 1)
+                cert or is_separable_cut(current, pos, tolerance, _cut=ctx)
+                for pos, (ctx, cert) in enumerate(tested, 1)
             )
             if any(cert.separable for cert in failed):
                 raise InternalConsistencyError("a cut proven entangled scanned separable")

@@ -17,10 +17,11 @@ one minor per explicit (a, b, j, k), both in the order of a scalar complex
 product, so every |minor| equals ``abs(M[a,c] * M[b,d] - M[a,d] * M[b,c])``
 bit for bit and those of M.T equal those of M; the largest modulus does
 not depend on the order or on the evaluator.  What the max prunes, and
-the peel's verdicts, read one pass over the matrix (_pivot_minors).  The
-sum of squared minors takes the Gram route (minor_sum_sq), whose bits do
-not depend on BLAS or its threads, and a matrix's sum has the same bits
-alone or stacked with others in one pass (minor_sums_sq).
+the peel's verdicts, read one pass over the matrix (_pivot_minors), which
+the peel runs once per cut it tests and hands to the max.  The sum of
+squared minors takes the Gram route (minor_sum_sq), whose bits do not
+depend on BLAS or its threads, and a matrix's sum has the same bits alone
+or stacked with others in one pass (minor_sums_sq).
 """
 
 from __future__ import annotations
@@ -81,8 +82,13 @@ def matricize(state: PureState, cut: Cut) -> np.ndarray:
     remaining subsystems, in ascending order, at row-major position c.
     """
     _check_cut(state, cut)
-    rows = state.dims[cut - 1]
-    outer = state.amps.reshape(math.prod(state.dims[: cut - 1]), rows, -1)
+    return _unfold(state.amps, state.dims, cut)
+
+
+def _unfold(amps: np.ndarray, dims: tuple[int, ...], cut: Cut) -> np.ndarray:
+    """matricize of the flat amplitudes amps over dims, already checked."""
+    rows = dims[cut - 1]
+    outer = amps.reshape(math.prod(dims[: cut - 1]), rows, -1)
     entries = np.ascontiguousarray(outer.transpose(1, 0, 2).reshape(rows, -1))
     entries.flags.writeable = False
     return entries
@@ -387,29 +393,44 @@ def _level_weights(k: int, beta: int) -> np.ndarray:
     return weights
 
 
-def max_abs_minor(mat) -> float:
+def max_abs_minor(mat, *, _pivot=None) -> float:
     """Largest |minor|; 0.0 for degenerate shapes, NaN if any minor is NaN.
 
     |minor| is libm hypot(re, im), the function behind abs(complex).  One
     evaluator runs, with the full scan's bits: the quad evaluator on the
     minors _bounded_pairs lists, else the offset kernel on the row pairs it
     keeps, or on all of them where it prunes nothing.
+
+    _pivot, if given, is _pivot_minors(mat) of a caller that already ran
+    it, and the pre-pass reads it instead of running its own.  A wide mat
+    is read as its transpose, and so is the tuple, as views (c, r, |x|.T,
+    |D|.T): its pivot may be another of a tie and its |D| differ by
+    roundings, which every bound allows for, so the bits do not change.
     """
-    entries = _as_entries(mat)
-    x = entries.T if entries.shape[0] < entries.shape[1] else entries
-    bounded = _bounded_pairs(x)
+    x = _as_entries(mat)
+    if x.shape[0] < x.shape[1]:
+        x = x.T
+        if _pivot is not None:
+            r, c, mod, minors = _pivot
+            _pivot = c, r, mod.T, minors.T
+    bounded = _bounded_pairs(x, _pivot)
     if bounded is not None and bounded[3] is not None:
         return _quad_max(x, *bounded[3])
     return _max_minor(x, None if bounded is None else bounded[:2])
 
 
-def _bounded_pairs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, tuple | None] | None:
-    """(a, b, L, quads) from one pass over x read tall (_pivot_minors): the
-    row pairs (a, b), lexicographic, that can hold the largest |minor|, the
+def _bounded_pairs(
+    x: np.ndarray, pivot: tuple | None = None
+) -> tuple[np.ndarray, np.ndarray, float, tuple | None] | None:
+    """(a, b, L, quads) from one pass over x read tall (_pivot_minors, or
+    pivot, the caller's pass over the tall x, if given): the row pairs
+    (a, b), lexicographic, that can hold the largest |minor|, the
     lower bound L they were tested against, and, where the Schwarz bound
     dropped the others, the minors of theirs that pass the column bound
     (_column_quads; None past _CHUNK of them, or where the Schur bound
-    dropped the others); None if no pair is dropped.
+    dropped the others); None if no pair is dropped.  Every bound below
+    holds for any |D| within 9u P^2 of the exact minors, as a pass over x.T
+    read transposed is, and L is a modulus the kernel computes.
 
     Both bounds are tested against L, the kernel's |minor| at the largest
     |D| through the pivot (_pivot_low), raised where the Schwarz bound prunes
@@ -445,7 +466,7 @@ def _bounded_pairs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, tuple 
     total = nr * (nr - 1) // 2
     if total * (nc * (nc - 1) // 2) <= _CHUNK or total > _PRUNE_PAIRS:
         return None
-    r, c, mod, minors = _pivot_minors(x)
+    r, c, mod, minors = pivot or _pivot_minors(x)
     low = _pivot_low(x, r, c, minors)
     if not 2.0**-1000 <= low < math.inf:
         return None
@@ -548,10 +569,12 @@ def _top_two(a: np.ndarray) -> np.ndarray:
     return np.partition(a, -2, axis=1)[:, -2:]
 
 
-def _pivot_verdict(x: np.ndarray, tolerance: float) -> bool | None:
+def _pivot_verdict(x: np.ndarray, tolerance: float, pivot: tuple | None = None) -> bool | None:
     """max_abs_minor(x) <= tolerance P^2 where the pivot settles it: True
     if its Schur bound proves it, False if L (_pivot_low), which the scan
-    finds, exceeds the limit, else None.  x is peak-scaled (P in [0.5, 2)).
+    finds, exceeds the limit, else None.  x is peak-scaled (P in [0.5, 2));
+    pivot is _pivot_minors(x) where the caller has it, which it then hands
+    to the scan (max_abs_minor's _pivot).
 
     With T = max |D| (_pivot_minors), the Schur identity (_bounded_pairs),
     |u_a| <= P, |v_j| <= 1 and |S| <= T/P, no exact minor exceeds 4T +
@@ -559,7 +582,7 @@ def _pivot_verdict(x: np.ndarray, tolerance: float) -> bool | None:
     at most 108u P^2, the kernel strays by 20u P^2 and the bound (under
     16 P^2) rounds by 64u P^2: _PAD P^2 covers all three.
     """
-    r, c, mod, minors = _pivot_minors(x)
+    r, c, mod, minors = pivot or _pivot_minors(x)
     peak, top = float(mod[r, c]), float(minors.max())
     scale = peak**2
     limit = tolerance * scale

@@ -583,9 +583,9 @@ class TestOneScanPerCertificate:
         module = sys.modules["qconc.concurrence"]
         seen = []
 
-        def counting(mat):
+        def counting(mat, **kwargs):
             seen.append(mat.shape)
-            return max_abs_minor(mat)
+            return max_abs_minor(mat, **kwargs)
 
         monkeypatch.setattr(module, "max_abs_minor", counting)
         return seen
@@ -624,6 +624,40 @@ class TestOneScanPerCertificate:
         assert calls == [(8, 8), (8, 8)]
         assert result.remainder_subsystems == (1, 2)
         assert [f[0] for f in result.factors] == [3]
+
+
+class TestOnePivotPassPerCut:
+    """The peel runs _pivot_minors once per cut it tests, and the reported
+    certificates read that pass (is_separable_cut's _cut) rather than their own."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        seen = []
+        run = schwarz._pivot_minors
+
+        def counting(x):
+            seen.append(x.shape)
+            return run(x)
+
+        for module in (schwarz, sys.modules["qconc.concurrence"]):
+            if hasattr(module, "_pivot_minors"):
+                monkeypatch.setattr(module, "_pivot_minors", counting)
+        return seen
+
+    @pytest.mark.parametrize("kind, runs", [("haar", 3), ("product", 2)])
+    def test_one_pass_per_tested_cut(self, passes, kind, runs):
+        # Haar: three cuts proven entangled, each reported.  Product: cut 1
+        # of [8, 8, 8] peels, then cut 1 of [8, 8].
+        full_separability(sample_state(SamplerSpec((8, 8, 8), kind, 5)))
+        assert len(passes) == runs
+
+    def test_biseparable(self, passes):
+        # Cuts 1 and 2 proven entangled, cut 3 peels; then the remainder's
+        # two cuts, both reported.
+        pair = sample_state(SamplerSpec((8, 8), "haar", 3))
+        result = full_separability(tensor(pair, sample_state(SamplerSpec((8,), "haar", 4))))
+        assert len(result.failed) == 2
+        assert len(passes) == 5
 
 
 def _peel_by_scan(state, tolerance):
@@ -744,9 +778,9 @@ class TestFullSeparabilityMatchesScan:
         assert len(undecided) >= 12
         scans = []
 
-        def counting(*args):
+        def counting(*args, **kwargs):
             scans.append(args)
-            return is_separable_cut(*args)
+            return is_separable_cut(*args, **kwargs)
 
         monkeypatch.setattr(sys.modules["qconc.concurrence"], "is_separable_cut", counting)
         for name in undecided:

@@ -1189,6 +1189,42 @@ class TestPivotVerdict:
         assert not minors[r].any() and not minors[:, c].any()
 
 
+def _handoff_case(kind, shape, seed):
+    """A Haar (Gaussian), near-product or product matrix, or unit-modulus
+    rows with one row scaled by 0.4, which keep every column of the pairs
+    the Schwarz bound keeps."""
+    rng = np.random.default_rng(seed)
+    if kind == "haar":
+        return _gaussian(rng, *shape)
+    if kind == "near-product":
+        return _near_product(seed, 10.0 ** -rng.uniform(3, 10), shape)
+    if kind == "product":
+        return np.outer(_gaussian(rng, shape[0]), _gaussian(rng, shape[1]))
+    m = np.exp(1j * rng.uniform(0, 2 * np.pi, shape))
+    m[0] *= 0.4
+    return m
+
+
+class TestPivotHandOff:
+    """max_abs_minor with the caller's pivot pass (_pivot) has the bits of
+    the call without it and of the transpose: a wide matrix reads the pass
+    transposed, where the pivot may be another of a tie and |D| differ by
+    roundings."""
+
+    @pytest.mark.parametrize("shape", [(8, 64), (64, 8), (32, 32)], ids=["wide", "tall", "square"])
+    @pytest.mark.parametrize("kind", ["haar", "near-product", "product", "unit-rows"])
+    def test_same_bits_with_the_callers_pass(self, kind, shape):
+        for seed in range(2):
+            m = _handoff_case(kind, shape, seed)
+            for e in (0, 500, -500):
+                x = np.ldexp(m.view(np.float64), e).view(np.complex128)
+                want = max_abs_minor(x).hex()
+                assert max_abs_minor(x.T).hex() == want, (seed, e)
+                pivot = schwarz._pivot_minors(x)
+                with mock.patch.object(schwarz, "_pivot_minors", side_effect=AssertionError):
+                    assert max_abs_minor(x, _pivot=pivot).hex() == want, (seed, e)
+
+
 def _tolerance_below(limit, scale):
     """The largest tolerance whose tol * scale, as computed, is below limit:
     the largest double below limit where a tolerance reaches it (scale

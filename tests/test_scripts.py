@@ -17,6 +17,7 @@ ROOT = Path(__file__).resolve().parents[1]
         ["oracle_crosscheck.py", "--states", "3"],
         ["minor_timing.py", "--dims", "4", "--repeats", "1"],
         ["output_digest.py", "--states", "1"],
+        ["ab_timing.py", "--reps", "1", "--calls", "1", "--states", "1"],  # one tree, twice
     ],
     ids=lambda argv: argv[0],
 )
@@ -44,6 +45,7 @@ def test_script_exits_zero(argv):
         ["minor_timing.py", "--dims", "4", "-3"],
         ["minor_timing.py", "--repeats", "0"],
         ["output_digest.py", "--states", "0"],
+        ["ab_timing.py", "--reps", "0"],
     ],
     ids=" ".join,
 )

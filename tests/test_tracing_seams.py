@@ -7,8 +7,11 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
+import qconc
 import qconc.cli
-from qconc import emit_state
+from qconc import SamplerSpec, emit_state, normalize, sample_state
 
 from conftest import bell_state, ghz_state
 
@@ -67,3 +70,22 @@ def test_tripartite_concurrence_records_its_span(capsys, tmp_path):
     code, names = _traced_concurrence(ghz_state(), tmp_path, capsys)
     assert code == 0
     assert {"cli.main", "concurrence.concurrence", "schwarz.matricize"} <= names
+
+
+def test_peel_certificates_keep_their_spans():
+    # The peel hands each reported cut's context to is_separable_cut, which
+    # still goes through the module globals: one certificate span and one
+    # scan span per cut, and the tracer reads tolerance P^2 from the
+    # normalized state it is given.
+    state = sample_state(SamplerSpec((8, 8, 8), "haar", 5))
+    tracer = _tracing().Tracer()
+    with tracer.patched():
+        result = qconc.full_separability(state)
+    names = [span[0] for span in tracer.spans]
+    assert names.count("concurrence.certificate") == 3
+    assert names.count("schwarz.max_minor") == 3
+    scale = float(np.max(np.abs(normalize(state).amps))) ** 2
+    assert len(result.failed) == 3
+    assert tracer.certificates == [
+        (cert.max_abs_minor, cert.tolerance * scale, False) for cert in result.failed
+    ]
