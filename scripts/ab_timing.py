@@ -21,6 +21,13 @@ the benchmark's tripartite_mixed p50 is taken, the median of the four
 tripartite kind medians and its ratio.  BLAS runs on one thread, as in
 minor_timing.py, unless the thread variables (THREAD_VARS) are set.
 
+Both trees share one process and so one heap: glibc's malloc thresholds
+rise with the largest block either tree frees, so the script cannot show
+what a change to a pass's working memory does to page faults (a change
+that took the benchmark's bipartite_haar op from about 150 minor faults
+to none read level here).  Compare fresh processes for that, as
+perfbench/run.py and scripts/minor_timing.py do.
+
     python scripts/ab_timing.py PARENT/src --reps 20
 """
 

@@ -22,9 +22,14 @@ lower bound, and hands over what the evaluator takes: the minors of those
 pairs whose columns pass the column bound, for the quad evaluator, where
 the Schwarz bound pruned and at most 8192 such minors remain, else the
 kept pairs, for the offset kernel.
-It prints the minor count, the best wall time of each, their throughput
-in minors per second (of all minors, also for the max), and the share of
-the minors the max evaluated, counted in one extra, untimed call.
+It prints the minor count, the best wall time of each, the minor page
+faults per call next to it (flt: the ru_minflt difference over the timed
+repeats, after two untimed calls, since glibc may serve a size's first
+call from mmap and its second from fresh heap pages; a pass whose working
+memory free() hands back to the system every call shows here), their
+throughput in minors per second (of all minors, also for the max), and
+the share of the minors the max evaluated, counted in one extra, untimed
+call.
 
 BLAS runs on one thread, as in perfbench/run.py, unless the thread
 variables (THREAD_VARS) are set; the header prints them.  With a default
@@ -34,6 +39,7 @@ thread pool, idle BLAS threads can slow whatever runs after a matmul.
 import argparse
 import math
 import os
+import resource
 import sys
 import time
 from unittest import mock
@@ -52,13 +58,19 @@ from qconc import concurrence, make_state, matricize, max_abs_minor, schwarz  # 
 QUARTIC_LIMIT = 64
 
 
-def best_time(fn, repeats: int) -> tuple[float, object]:
+def best_time(fn, repeats: int) -> tuple[float, float, object]:
+    """(best wall time, minor page faults per call, result) of repeats calls
+    after two untimed calls."""
+    fn()
+    fn()
     best, result = math.inf, None
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for _ in range(repeats):
         start = time.perf_counter()
         result = fn()
         best = min(best, time.perf_counter() - start)
-    return best, result
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    return best, faults / repeats, result
 
 
 def evaluated_share(mat) -> float:
@@ -104,9 +116,9 @@ def main() -> int:
 
     print("threads: " + " ".join(f"{var}={os.environ[var]}" for var in THREAD_VARS))
     print(
-        f"{'dims':>10} {'minors':>10} {'kernel s':>9} {'kernel minors/s':>15} "
-        f"{'sum s':>9} {'sum minors/s':>13} {'max s':>9} {'max minors/s':>13} {'max share':>9} "
-        f"{'value':>9}"
+        f"{'dims':>10} {'minors':>10} {'kernel s':>9} {'flt':>6} {'kernel minors/s':>15} "
+        f"{'sum s':>9} {'flt':>6} {'sum minors/s':>13} {'max s':>9} {'flt':>6} "
+        f"{'max minors/s':>13} {'max share':>9} {'value':>9}"
     )
     cases = [([n, n], False) for n in args.dims]
     cases += [([8, 64], False), ([8, 64], True), ([8, 8, 8], False), ([8, 8, 8], True)]
@@ -120,18 +132,19 @@ def main() -> int:
         mat = matricize(state, 1)
         cut_dims = dims[:1] if len(dims) == 2 else dims  # the cuts concurrence sums
         minors = sum(math.comb(n, 2) * math.comb(size // n, 2) for n in cut_dims)
-        sum_s, report = best_time(lambda: concurrence(state), args.repeats)
-        kernel, maximum = f"{'-':>9} {'-':>15}", f"{'-':>9} {'-':>13} {'-':>9}"
+        sum_s, sum_flt, report = best_time(lambda: concurrence(state), args.repeats)
+        kernel, maximum = f"{'-':>9} {'-':>6} {'-':>15}", f"{'-':>9} {'-':>6} {'-':>13} {'-':>9}"
         if len(dims) == 2 and max(dims) <= QUARTIC_LIMIT:
-            kernel_s, _ = best_time(lambda: schwarz._max_minor(mat), args.repeats)
-            max_s, _ = best_time(lambda: max_abs_minor(mat), args.repeats)
+            kernel_s, kernel_flt, _ = best_time(lambda: schwarz._max_minor(mat), args.repeats)
+            max_s, max_flt, _ = best_time(lambda: max_abs_minor(mat), args.repeats)
             share = evaluated_share(mat)
-            kernel = f"{kernel_s:>9.4f} {minors / kernel_s:>15.3e}"
-            maximum = f"{max_s:>9.4f} {minors / max_s:>13.3e} {share:>9.3%}"
+            kernel = f"{kernel_s:>9.4f} {kernel_flt:>6.0f} {minors / kernel_s:>15.3e}"
+            maximum = f"{max_s:>9.4f} {max_flt:>6.0f} {minors / max_s:>13.3e} {share:>9.3%}"
         label = "[" + ",".join(f"{n:>3}" if len(dims) == 2 else str(n) for n in dims) + "]"
         print(
             f"{label:>9}{'*' if near else ' '}{minors:>10} {kernel} "
-            f"{sum_s:>9.4f} {minors / sum_s:>13.3e} {maximum} {report.value:>9.5f}"
+            f"{sum_s:>9.4f} {sum_flt:>6.0f} {minors / sum_s:>13.3e} {maximum} "
+            f"{report.value:>9.5f}"
         )
     return 0
 

@@ -152,9 +152,7 @@ def records(state: PureState):
         for x in (mat, mat.T):
             for e in (0, 500, -500):
                 scaled = np.ldexp(np.ascontiguousarray(x).view(np.float64), e).view(np.complex128)
-                with np.errstate(over="ignore", invalid="ignore"):  # NaN past the range
-                    top = outcome(max_abs_minor, scaled)
-                yield ("max", cut, e, top)
+                yield ("max", cut, e, outcome(max_abs_minor, scaled))
                 yield ("sum", cut, e, outcome(minor_sum_sq, scaled))
     if state.subsystem_count in (2, 3):
         yield ("concurrence", outcome(lambda: concurrence(state).per_cut_sums))

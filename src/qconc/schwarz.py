@@ -53,7 +53,7 @@ _NO_ROW = -(1 << 11)  # exponent of a zero row, below every double's
 _BAND = 1.0 - 2.0**-40
 _TINY = float(np.finfo(np.float64).tiny)
 
-_PRUNE_PAIRS = 1 << 19  # most row pairs _bounded_pairs takes: 8 MiB of indices
+_PRUNE_PAIRS = 1 << 19  # most row pairs _bounded_pairs takes: an 8 MiB rows x rows bound
 _PAD = 512 * 2.0**-53  # rounding pad of the pivot's Schur bound, 512u, times P^2
 
 
@@ -128,7 +128,8 @@ def _max_minor(entries: np.ndarray, pairs=None) -> float:
     offsets s <= cols/2 cover all.  Each step is CPython's complex
     arithmetic, one rounding per elementwise operation (einsum/dot/matmul
     may fuse or reorder), into four rows reused per call, and is reduced
-    to its own largest modulus by _max_modulus.
+    to its own largest modulus by _max_modulus.  The parts, the block and
+    the four rows share one allocation.
     """
     if entries.shape[0] < entries.shape[1]:
         entries = entries.T
@@ -136,12 +137,13 @@ def _max_minor(entries: np.ndarray, pairs=None) -> float:
     count = nr * (nr - 1) // 2 if pairs is None else pairs[0].size
     if nc < 2 or count == 0:
         return 0.0
-    parts = np.empty((2, nc, nr))
+    k = min(count, max(1, _CHUNK // nc))  # row pairs per block
+    size = 4 * (2 * nc - 1) * k
+    work = np.empty(size + 4 * nc * k + 2 * nc * nr)  # one block for the call
+    block_buf, scratch = work[:size], work[size : size + 4 * nc * k].reshape(4, -1)
+    parts = work[size + 4 * nc * k :].reshape(2, nc, nr)
     parts[0] = entries.real.T
     parts[1] = entries.imag.T
-    k = min(count, max(1, _CHUNK // nc))  # row pairs per block
-    block_buf = np.empty(4 * (2 * nc - 1) * k)
-    scratch = np.empty((4, nc * k))
     peak = 0.0
     for start in range(0, count, k):
         stop = min(start + k, count)
@@ -194,11 +196,11 @@ def _max_modulus(re: np.ndarray, im: np.ndarray, sq: np.ndarray) -> float:
 
     hypot runs only on the candidates in _BAND of the largest re*re +
     im*im, or on all when that is zero, subnormal, inf or NaN (so a NaN
-    part still gives NaN).
+    part still gives NaN).  Like every pass of max_abs_minor, it runs
+    under that call's np.errstate: a square may overflow.
     """
-    with np.errstate(over="ignore"):
-        np.multiply(re, re, out=sq)
-        sq += im * im
+    np.multiply(re, re, out=sq)
+    sq += im * im
     top = sq.max()
     if _TINY <= top < math.inf:
         keep = sq >= top * _BAND
@@ -320,57 +322,78 @@ def _gap_terms(z: np.ndarray, beta: int, rho: np.ndarray, d: np.ndarray) -> Iter
     one list per matrix of the (S, r, k, c) stack z, as G_ba = conj(G_ab).
     Matmuls of the tile's conjugated slices, its only copy of z, form the
     slice products of conj(G_ab) and their exact sums per level i + j; a
-    tile's products and its copy each hold at most _TILE values.  TwoSum
-    along the levels' running sum, finest first, gives conj(G) in
-    double-double.  Tiles run upwards, so d has each G_bb.  One TwoProduct
-    takes (G_aa, Re G_ab, -Im G_ab) * (G_bb, -Re, Im): rounding is odd in
-    the sign, so the terms are those of G itself."""
+    tile's products and their level-order copy each hold at most _TILE
+    values.  The conjugated slices, the products and the copy share one
+    block, freed once the levels are summed, and every array of a tile
+    goes before the next (_tile_terms); each tile's block has the size of
+    the last, the largest, so each fits where the one before was freed.
+    TwoSum along the levels' running
+    sum, finest first, gives conj(G) in double-double.  Tiles run upwards,
+    so d has each G_bb.  One TwoProduct takes (G_aa, Re G_ab, -Im G_ab) *
+    (G_bb, -Re, Im): rounding is odd in the sign, so the terms are those
+    of G itself."""
     S, r, k, c = z.shape
     weights = _level_weights(k, beta)
-    last = 2 * k - 2  # the coarsest level
     step = max(1, _TILE // (S * k * max(k * r, 2 * c)))
+    width = S * min(step, r) * k * (c + 2 * r * k)
     for a1 in range(r, 0, -step):
-        a0 = max(a1 - step, 0)
-        n, m = a1 - a0, r - a0
-        rows = z[:, a0:a1].conj().reshape(S, n * k, c)
-        p = rows @ z[:, a0:].reshape(S, m * k, c).transpose(0, 2, 1)
-        p = p.reshape(S, n, k, m, k).transpose(2, 4, 0, 1, 3).reshape(k * k, -1)
-        levels = weights @ p.view(np.float64)
-        acc = np.empty((last + 2, levels.shape[1]))  # running sums, then lo
-        acc[0] = levels[0]
-        for j in range(1, last + 1):  # np.add.accumulate is slower
-            np.add(acc[j - 1], levels[j], out=acc[j])
-        s, a = acc[1 : last + 1], acc[:last]
-        bv = s - a
-        lo = s - bv
-        np.subtract(a, lo, out=lo)
-        np.subtract(levels[1:], bv, out=bv)
-        lo += bv  # Knuth: acc + lo == previous acc + level
-        lo = np.add.reduce(lo, axis=0, out=acc[-1])  # frees the levels' lo
-        hl = acc[-2:].reshape(2, S, n, m, 2)  # G, high and low parts
-        d[:, :, a0:a1] = hl.reshape(2, S, -1)[:, :, :: 2 * m + 2]
-        w = np.empty((4, 3, S, n, m))  # x, y, lows
-        w[0::2, 0] = d[:, :, a0:a1, None]
-        w[1::2, 0] = d[:, :, None, a0:]
-        w[0::2, 1:] = hl.transpose(0, 4, 1, 2, 3)
-        np.negative(w[0::2, 1:], out=w[1::2, 1:])
-        x, y, xl, yl = w
-        t = w[:2] * _SPLIT
-        h = t - w[:2]
-        np.subtract(t, h, out=h)
-        np.subtract(w[:2], h, out=t)  # Veltkamp: h + t == (x, y), 26-bit parts
-        out = np.empty((4, S, n, m))  # p, then the low parts
-        p = np.multiply(x, y, out=out[:3])
-        err = h[0] * h[1]
-        err -= p
-        tmp = np.empty_like(err)
-        for f, g in ((h[0], t[1]), (t[0], h[1]), (t[0], t[1]), (x, yl), (xl, y)):
-            err += np.multiply(f, g, out=tmp)  # Dekker: p + err == x * y, then the lows
-        np.add.reduce(err, axis=0, out=out[3])
-        upper = _upper(n, m)
-        ex = (rho[:, a0:a1, None] + rho[:, None, a0:]).reshape(S, -1).take(upper, axis=1)
-        terms = np.ldexp(out.reshape(4, S, -1).take(upper, axis=2), ex)
-        yield terms.swapaxes(0, 1).reshape(S, -1).tolist()
+        yield _tile_terms(z, weights, max(a1 - step, 0), a1, rho, d, width)
+
+
+def _tile_terms(
+    z: np.ndarray, weights: np.ndarray, a0: int, a1: int, rho: np.ndarray, d: np.ndarray,
+    width: int,
+) -> list:
+    """_gap_terms' terms of the tile of rows a0..a1-1, with a block of width
+    values; its arrays go when it returns."""
+    S, r, k, c = z.shape
+    last = 2 * k - 2  # the coarsest level
+    n, m = a1 - a0, r - a0
+    at, size = S * n * k * c, S * n * k * m * k
+    block = np.empty(width, np.complex128)  # conj rows, products, level order
+    rows = np.conjugate(z[:, a0:a1].reshape(S, n * k, c), out=block[:at].reshape(S, n * k, c))
+    p = block[at : at + size].reshape(S, n * k, m * k)
+    np.matmul(rows, z[:, a0:].reshape(S, m * k, c).transpose(0, 2, 1), out=p)
+    p = p.reshape(S, n, k, m, k).transpose(2, 4, 0, 1, 3)
+    order = block[at + size : at + 2 * size]
+    np.copyto(order.reshape(k, k, S, n, m), p)
+    levels = weights @ order.reshape(k * k, -1).view(np.float64)
+    del block, rows, p, order
+    acc = np.empty((last + 2, levels.shape[1]))  # running sums, then lo
+    acc[0] = levels[0]
+    for j in range(1, last + 1):  # np.add.accumulate is slower
+        np.add(acc[j - 1], levels[j], out=acc[j])
+    s, a = acc[1 : last + 1], acc[:last]
+    bv = s - a
+    lo = s - bv
+    np.subtract(a, lo, out=lo)
+    np.subtract(levels[1:], bv, out=bv)
+    lo += bv  # Knuth: acc + lo == previous acc + level
+    lo = np.add.reduce(lo, axis=0, out=acc[-1])  # frees the levels' lo
+    hl = acc[-2:].reshape(2, S, n, m, 2)  # G, high and low parts
+    d[:, :, a0:a1] = hl.reshape(2, S, -1)[:, :, :: 2 * m + 2]
+    w = np.empty((4, 3, S, n, m))  # x, y, lows
+    w[0::2, 0] = d[:, :, a0:a1, None]
+    w[1::2, 0] = d[:, :, None, a0:]
+    w[0::2, 1:] = hl.transpose(0, 4, 1, 2, 3)
+    np.negative(w[0::2, 1:], out=w[1::2, 1:])
+    x, y, xl, yl = w
+    t = w[:2] * _SPLIT
+    h = t - w[:2]
+    np.subtract(t, h, out=h)
+    np.subtract(w[:2], h, out=t)  # Veltkamp: h + t == (x, y), 26-bit parts
+    out = np.empty((4, S, n, m))  # p, then the low parts
+    p = np.multiply(x, y, out=out[:3])
+    err = h[0] * h[1]
+    err -= p
+    tmp = np.empty_like(err)
+    for f, g in ((h[0], t[1]), (t[0], h[1]), (t[0], t[1]), (x, yl), (xl, y)):
+        err += np.multiply(f, g, out=tmp)  # Dekker: p + err == x * y, then the lows
+    np.add.reduce(err, axis=0, out=out[3])
+    upper = _upper(n, m)
+    ex = (rho[:, a0:a1, None] + rho[:, None, a0:]).reshape(S, -1).take(upper, axis=1)
+    terms = np.ldexp(out.reshape(4, S, -1).take(upper, axis=2), ex)
+    return terms.swapaxes(0, 1).reshape(S, -1).tolist()
 
 
 @lru_cache(maxsize=64)
@@ -378,6 +401,14 @@ def _upper(n: int, m: int) -> np.ndarray:
     """Read-only flat positions i m + j in an (n, m) tile of its pairs a < b
     (row a0 + i, column a0 + j)."""
     upper = np.flatnonzero(np.arange(m) > np.arange(n)[:, None])
+    upper.flags.writeable = False
+    return upper
+
+
+@lru_cache(maxsize=64)
+def _triangle(n: int) -> np.ndarray:
+    """Read-only n x n mask of the row pairs a < b, [a, b]."""
+    upper = np.arange(n)[:, None] < np.arange(n)
     upper.flags.writeable = False
     return upper
 
@@ -394,12 +425,16 @@ def _level_weights(k: int, beta: int) -> np.ndarray:
 
 
 def max_abs_minor(mat, *, _pivot=None) -> float:
-    """Largest |minor|; 0.0 for degenerate shapes, NaN if any minor is NaN.
+    """Largest |minor|; 0.0 for degenerate shapes, inf past the double range.
 
     |minor| is libm hypot(re, im), the function behind abs(complex).  One
     evaluator runs, with the full scan's bits: the quad evaluator on the
     minors _bounded_pairs lists, else the offset kernel on the row pairs it
-    keeps, or on all of them where it prunes nothing.
+    keeps, or on all of them where it prunes nothing.  Entries beyond about
+    2**511 can overflow a product (inf, or NaN from inf - inf): a result
+    that is not finite is computed again on mat 2**-e, e the exponent of
+    its largest |entry|, and scaled back by 2**2e.  All of it runs under
+    one np.errstate that silences overflow and invalid warnings.
 
     _pivot, if given, is _pivot_minors(mat) of a caller that already ran
     it, and the pre-pass reads it instead of running its own.  A wide mat
@@ -413,7 +448,18 @@ def max_abs_minor(mat, *, _pivot=None) -> float:
         if _pivot is not None:
             r, c, mod, minors = _pivot
             _pivot = c, r, mod.T, minors.T
-    bounded = _bounded_pairs(x, _pivot)
+    with np.errstate(over="ignore", invalid="ignore"):
+        top = _pruned_max(x, _pivot)
+        if math.isfinite(top):
+            return top
+        e = int(np.frexp(np.abs(x).max())[1])
+        return float(np.ldexp(_pruned_max(x * 2.0**-e), 2 * e))
+
+
+def _pruned_max(x: np.ndarray, pivot: tuple | None = None) -> float:
+    """max_abs_minor of the tall x, as computed: one pre-pass, one evaluator,
+    whose overflow warnings max_abs_minor's np.errstate silences."""
+    bounded = _bounded_pairs(x, pivot)
     if bounded is not None and bounded[3] is not None:
         return _quad_max(x, *bounded[3])
     return _max_minor(x, None if bounded is None else bounded[:2])
@@ -459,7 +505,9 @@ def _bounded_pairs(
     rounds by 2u P^2.  Only for 2**-400 <= P <= 2**400 and max |D| > pad
     (else S is rounding noise, as on product cuts).  Either way no minor of
     a dropped pair comes out as large as L.  None beyond _PRUNE_PAIRS pairs
-    or up to _CHUNK minors (the bounds cost as much).
+    or up to _CHUNK minors (the bounds cost as much).  Both bounds are
+    rows x rows arrays, read where a < b (_triangle); no list of all pairs
+    is built.
     """
     x = x.T if x.shape[0] < x.shape[1] else x
     nr, nc = x.shape
@@ -470,22 +518,27 @@ def _bounded_pairs(
     low = _pivot_low(x, r, c, minors)
     if not 2.0**-1000 <= low < math.inf:
         return None
-    a, b = (_pair_block if total <= _CHUNK else _pair_block.__wrapped__)(nr, 0, total)
+    upper = (_triangle if total <= _CHUNK else _triangle.__wrapped__)(nr)
     padded = mod + _TINY
     two = _top_two(padded)
     h = np.hypot(*two.T)
-    with np.errstate(over="ignore"):
-        bound = h.take(a) * h.take(b)
-    if not (bound >= low * _BAND).all():  # Schwarz prunes; a larger L prunes more
+    bound = h[:, None] * h
+    keep = bound >= low * _BAND
+    keep &= upper
+    if np.count_nonzero(keep) < total:  # Schwarz prunes; a larger L prunes more
         i, j = np.divmod(np.argpartition(mod, -2 * nc, axis=None)[-2 * nc:], nc)
         g = x[i][:, j]  # g[k, l] = x[i_k, j_l]
-        with np.errstate(over="ignore", invalid="ignore"):
-            m = np.abs(np.multiply.outer(g.diagonal(), g.diagonal()) - g * g.T)
-        k, l = divmod(int(np.argmax(m)), 2 * nc)
+        w = np.empty((2, 2 * nc, 2 * nc), np.complex128)  # one block
+        np.multiply.outer(g.diagonal(), g.diagonal(), out=w[0])
+        w[0] -= np.multiply(g, g.T, out=w[1])
+        k, l = divmod(int(np.argmax(np.abs(w[0]))), 2 * nc)
+        del g, w  # before the column bound's block
         wider = _modulus(x, i[k], j[k], i[l], j[l])
         low = wider if low < wider < math.inf else low
-        keep = bound >= low * _BAND
-        a, b = a[keep], b[keep]
+        np.greater_equal(bound, low * _BAND, out=keep)
+        keep &= upper
+        del bound
+        a, b = np.divmod(np.flatnonzero(keep), nr)
         return a, b, low, _column_quads(padded, two[:, 1], a, b, low)
     peak, top = float(mod[r, c]), float(minors.max())
     pad = _PAD * peak * peak
@@ -493,10 +546,18 @@ def _bounded_pairs(
         return None
     two = _top_two(minors) / peak  # of |S|
     s, t = two[:, 1], two[:, 0] + two[:, 1]
-    u, ta, tb = mod[:, c], t.take(a), t.take(b)
-    bound = u.take(a) * tb + u.take(b) * ta + np.minimum(s.take(a) * tb, s.take(b) * ta)
-    keep = bound + pad >= low
-    return None if keep.all() else (a[keep], b[keep], low, None)
+    w = np.empty((2, nr, nr))  # one block, and the Schwarz bound's array
+    np.multiply.outer(s, t, out=w[0])  # s_a t_b
+    np.minimum(w[0], w[0].T, out=w[1])
+    np.multiply.outer(mod[:, c], t, out=bound)  # |u_a| t_b
+    bound = np.add(bound, bound.T, out=w[0])
+    bound += w[1]
+    bound += pad
+    np.greater_equal(bound, low, out=keep)
+    keep &= upper
+    if np.count_nonzero(keep) == total:
+        return None
+    return (*np.divmod(np.flatnonzero(keep), nr), low, None)
 
 
 def _column_quads(
@@ -513,17 +574,20 @@ def _column_quads(
     as large as L.  The kernel's |minor| strays from the exact one by a few
     ulps of |x_aj| |x_bk| + |x_ak| |x_bj|, within the Schwarz bound's slack;
     an overflowed g is kept.  The pairs are taken in blocks of at most
-    _PRUNE_PAIRS entries of g.
+    _PRUNE_PAIRS entries of g, whose two terms share one allocation.
     """
     nc = mod.shape[1]
     step = max(1, _PRUNE_PAIRS // nc)
     live, quads = [], 0
     for s in range(0, a.size, step):
         pa, pb = a[s : s + step], b[s : s + step]
-        with np.errstate(over="ignore"):
-            g = mod[pa] * peak[pb, None]
-            g += peak[pa, None] * mod[pb]
-        keep = g >= low * _BAND
+        g = np.empty((2, pa.size, nc))  # one block: both terms
+        g[0] = mod[pa]
+        g[0] *= peak[pb, None]
+        g[1] = mod[pb]
+        g[1] *= peak[pa, None]
+        g[0] += g[1]
+        keep = g[0] >= low * _BAND
         n = np.count_nonzero(keep, axis=1)
         quads += int(n @ (n - 1)) // 2
         if quads > _CHUNK:

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import tracemalloc
@@ -571,8 +572,21 @@ def _full_scan_reference(m):
         return float(np.max(np.hypot(minors.real, minors.imag), initial=0.0))
 
 
+def _rescaled(max_of, m):
+    """max_of(m), or where that is not finite, as where products overflow,
+    max_of(m 2**-e) scaled back by 2**2e, e the exponent of the largest
+    |entry|: what max_abs_minor returns."""
+    top = max_of(m)
+    if math.isfinite(top):
+        return top
+    m = np.asarray(m, dtype=complex)
+    e = int(np.frexp(np.abs(m).max())[1])
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(max_of(m * 2.0**-e), 2 * e))
+
+
 def _assert_reductions_match_full_scan(m):
-    want_max = _full_scan_reference(m)
+    want_max = _rescaled(_full_scan_reference, m)
     for chunk in (100, 7, 1):
         with mock.patch.object(schwarz, "_CHUNK", chunk):
             assert max_abs_minor(m).hex() == want_max.hex(), chunk
@@ -613,8 +627,12 @@ class TestReductionsMatchFullScan:
     def test_edge_matrices(self, m):
         _assert_reductions_match_full_scan(m)
 
-    def test_nan_minor_gives_nan(self):
-        assert math.isnan(max_abs_minor(np.full((2, 3), 1e200)))
+    def test_overflowing_products_are_rescaled(self):
+        # Every product overflows, so the kernel's minors are inf - inf =
+        # NaN; max_abs_minor computes again at 2**-665 and finds the exact 0.
+        m = np.full((2, 3), 1e200)
+        assert math.isnan(schwarz._max_minor(m))
+        assert max_abs_minor(m) == 0.0
 
     @pytest.mark.parametrize(
         "re, im",
@@ -701,6 +719,34 @@ def _near_product(seed, delta, shape=(8, 8)):
 
 
 DELTAS = [1e-3, 1e-7, 1e-11, 1e-13]
+
+
+class TestPastTheDoubleRange:
+    """max_abs_minor where products of entries overflow: quiet, as
+    minor_sum_sq is (pyproject.toml turns every RuntimeWarning into an
+    error), and inf only where the largest |minor| itself overflows."""
+
+    @pytest.mark.parametrize("n", [8, 64])
+    def test_gaussian_times_1e300_is_inf(self, n):
+        m = _gaussian(np.random.default_rng(n), n, n) * 1e300
+        assert max_abs_minor(m) == max_abs_minor(m.T) == minor_sum_sq(m) == math.inf
+
+    @pytest.mark.parametrize("n", [8, 64])
+    def test_finite_minors_of_overflowing_products(self, n):
+        # Near rank one at 2**510: products pass 2**1024, the minors do not.
+        rng = np.random.default_rng(n)
+        base = np.outer(_gaussian(rng, n), _gaussian(rng, n)) + 2.0**-30 * _gaussian(rng, n, n)
+        big = base * 2.0**510
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not math.isfinite(schwarz._max_minor(big))
+        assert max_abs_minor(big) == max_abs_minor(big.T) == math.ldexp(max_abs_minor(base), 1020)
+
+    def test_finite_results_keep_their_bits(self):
+        # Up to about 2**511 no product overflows and nothing is recomputed.
+        m = _gaussian(np.random.default_rng(3), 16, 16) * 2.0**500
+        with mock.patch.object(schwarz, "_pruned_max", wraps=schwarz._pruned_max) as spy:
+            assert math.isfinite(max_abs_minor(m))
+        assert spy.call_count == 1
 
 
 class TestMinorSumAccuracy:
@@ -869,9 +915,67 @@ def test_bits_do_not_depend_on_blas_threads():
     assert len(outputs[0]) == 3 + len(DELTAS)
 
 
+_FAULT_PROBE = """
+import resource
+import numpy as np
+import qconc
+from qconc import schwarz
+rng = np.random.default_rng(7)
+def gaussian(n):
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+def haar(*dims):
+    return qconc.sample_state(qconc.SamplerSpec(dims, "haar", 11))
+def near_product(*dims):
+    first, second = np.ones(1), np.ones(1)
+    for n in dims:
+        u, z = gaussian(n)[:2]
+        u /= np.linalg.norm(u)
+        z -= np.vdot(u, z) * u
+        first, second = np.kron(first, u), np.kron(second, z / np.linalg.norm(z))
+    return qconc.make_state(list(dims), first + 1e-4 * second)
+fn, arg = {case}
+for _ in range(3):
+    fn(*arg)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    fn(*arg)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
+"""
+
+# The call and its arguments; each pass these run holds its large
+# temporaries in one block or computes them in place (see README), so
+# glibc's free() does not return them to the system after every call.
+_FAULT_CASES = {
+    "minor_sum_sq-48": "schwarz.minor_sum_sq, (gaussian(48),)",
+    "minor_sum_sq-64": "schwarz.minor_sum_sq, (gaussian(64),)",
+    "concurrence-haar-64x64": "qconc.concurrence, (haar(64, 64),)",
+    "concurrence-haar-16x16x16": "qconc.concurrence, (haar(16, 16, 16),)",  # conj rows
+    "certificate-haar-64x64": "qconc.is_separable_cut, (haar(64, 64), 1)",  # _column_quads
+    "certificate-haar-16x16x16": "qconc.is_separable_cut, (haar(16, 16, 16), 1)",  # pair masks
+    "certificate-near-64x64": "qconc.is_separable_cut, (near_product(64, 64), 1)",  # kernel
+}
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
+@pytest.mark.parametrize("case", _FAULT_CASES)
+def test_steady_state_calls_do_not_fault(case):
+    # A fresh process per case, as the thresholds only rise: 3 warm-up
+    # calls, then the minor page faults of 20 more (220 to 900 per call
+    # while these passes freed many separate large arrays).
+    src = str(Path(schwarz.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    run = subprocess.run([sys.executable, "-c", _FAULT_PROBE.format(case=_FAULT_CASES[case])],
+                         env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert float(run.stdout) <= 5.0
+
+
 def _all_pairs_max(m):
-    """The unpruned call: the kernel on every row pair."""
-    return schwarz._max_minor(schwarz._as_entries(m))
+    """The unpruned call: the kernel on every row pair, under
+    max_abs_minor's np.errstate and rescaled where products overflow, as
+    max_abs_minor is."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _rescaled(lambda a: schwarz._max_minor(schwarz._as_entries(a)), m)
 
 
 def _kron(*vectors):

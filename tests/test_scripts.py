@@ -68,6 +68,14 @@ def test_minor_timing_pins_blas_to_one_thread():
     assert header == "threads: " + " ".join(f"{var}=1" for var in threads)
 
 
+def test_minor_timing_prints_faults_per_call():
+    # Minor page faults per call ("flt") next to each best time ("s").
+    run = _run(["minor_timing.py", "--dims", "4", "--repeats", "1"])
+    assert run.returncode == 0, run.stderr
+    header = run.stdout.splitlines()[1].split()
+    assert [header[i - 1] for i, word in enumerate(header) if word == "flt"] == ["s"] * 3
+
+
 def _run(argv, unset=()):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     for var in unset:
