@@ -7,7 +7,9 @@ compare the last lines.  Per seed (--states of them) the corpus holds Haar
 and product states of several shapes, near-product states u (x) v (x) ...
 + delta u' (x) v' (x) ... (delta below, near and above the default
 tolerance), biseparable states (an entangled pair times a qudit, in both
-orders), and the same states times 1e150 and 1e-150; then Bell, GHZ and W.
+orders), and the same states times 1e150 and 1e-150; then Bell, GHZ and W;
+then two [2,2] near ties (NEAR_TIES), whose rows differ by a factor of
+about 1 + 2**-52, so that they pin the entry the factors are taken at.
 No state has more than 4096 amplitudes.  Hashed, in this order per state:
 
 - max_abs_minor and minor_sum_sq, as float hex, of each cut's unfolding
@@ -18,7 +20,8 @@ No state has more than 4096 amplitudes.  Hashed, in this order per state:
   largest |minor| over its squared peak, as full_separability first reads
   the cut) and the doubles on either side of it;
 - stdout, stderr and exit code of in-process cli_main calls (concurrence,
-  separability, factorize and fullsep, some failing on purpose).
+  separability, factorize and fullsep, some failing on purpose) on about
+  24 states of the corpus and on the near ties.
 
 An exception a call raises is hashed as its type and message.  The script
 prints the thread variables, the number of records and the digest.
@@ -65,6 +68,20 @@ from qconc.states import peak_scaled  # noqa: E402
 
 TOLERANCES = (1e-9, 1e-13, 0.5, 5.7e-14)
 
+# Amplitudes (hex re, im) of [2,2] states outer([a z, a (1 + 2**-52) z], [1, w]):
+# the peak-scaled moduli of the two rows' first entries round to a tie, and
+# over the norm they do not.
+NEAR_TIES = (
+    (("0x1.a481318435a31p-2", "-0x1.9a9ef3f7d2fc2p-2"),
+     ("-0x1.1f1c611a16c24p-2", "-0x1.52e11cfe6a15fp-2"),
+     ("0x1.a481318435a32p-2", "-0x1.9a9ef3f7d2fc3p-2"),
+     ("-0x1.1f1c611a16c25p-2", "-0x1.52e11cfe6a15fp-2")),
+    (("-0x1.9b00a27f5a2d4p-2", "-0x1.007b61aaa779dp-1"),
+     ("0x1.cd233100b1ecep-3", "-0x1.95db859845f2dp-7"),
+     ("-0x1.9b00a27f5a2d5p-2", "-0x1.007b61aaa779ep-1"),
+     ("0x1.cd233100b1ed1p-3", "-0x1.95db859845f27p-7")),
+)
+
 
 def near_product(rng, dims, factor) -> PureState:
     """t + delta t', t = u (x) v (x) ... and t' = u' (x) v' (x) ... of unit
@@ -105,6 +122,13 @@ def corpus(states: int) -> list[tuple[str, PureState]]:
     cases.append(("ghz", make_state([2, 2, 2], [s2, 0, 0, 0, 0, 0, 0, s2])))
     cases.append(("w", make_state([2, 2, 2], [0, s3, s3, 0, s3, 0, 0, 0])))
     return cases
+
+
+def near_ties() -> list[tuple[str, PureState]]:
+    """(name, state) pairs of NEAR_TIES."""
+    return [(f"near-tie/{i}", make_state([2, 2], [complex(float.fromhex(re), float.fromhex(im))
+                                                  for re, im in amps]))
+            for i, amps in enumerate(NEAR_TIES)]
 
 
 def canon(value):
@@ -195,15 +219,15 @@ def main() -> int:
         digest.update(repr(record).encode() + b"\n")
         count += 1
 
-    cases = corpus(args.states)
-    for name, state in cases:
+    cases, ties = corpus(args.states), near_ties()
+    for name, state in cases + ties:
         for record in records(state):
             feed((name,) + record)
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)  # relative file names: the documents echo them
         try:
-            for i, (name, state) in enumerate(cases[:: max(1, len(cases) // 24)]):
+            for i, (name, state) in enumerate(cases[:: max(1, len(cases) // 24)] + ties):
                 path = f"state{i}.json"
                 with open(path, "w", encoding="utf-8") as f:
                     f.write(emit_state(state, label=name))

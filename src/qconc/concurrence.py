@@ -117,21 +117,18 @@ def concurrence(
     )
 
 
-def _rank_one_factors(
-    entries: np.ndarray, state: PureState, cut: Cut
-) -> tuple[PureState, PureState]:
-    """Rank-1 factors of a (near-)rank-1 matricization of ``state`` at ``cut``.
-
-    The pivot is the entry of maximum modulus (stable even when the top-left
-    entry vanishes); the row factor is the pivot column, the column factor is
-    the pivot row divided by the pivot.  For an exactly rank-1 matrix of a
-    normalized state the outer product of the normalized factors reproduces
-    the matrix without even a global phase.
+def _rank_one_factors(ctx: tuple, state: PureState, cut: Cut) -> tuple[PureState, PureState]:
+    """Rank-1 factors of a separable cut of ``state`` from its context
+    (_cut_context).  The pivot is the pivot pass's, the entry whose |p|^2 is
+    the certificate's scale; over the norm, the row factor is the pivot
+    column and the column factor the pivot row over the pivot.  For an
+    exactly rank-1 matricization of a normalized state the outer product of
+    the normalized factors reproduces it without even a global phase.
     """
-    flat_pivot = int(np.argmax(np.abs(entries)))
-    r, c = divmod(flat_pivot, entries.shape[1])
-    u = entries[:, c]
-    v = entries[r, :] / entries[r, c]
+    entries, _, nrm, (r, c, _, _) = ctx
+    u = entries[:, c] / nrm
+    row = entries[r] / nrm
+    v = row / row[c]
     u = u / np.linalg.norm(u)
     v = v / np.linalg.norm(v)
     return (
@@ -180,8 +177,9 @@ def is_separable_cut(
     reported max_abs_minor is scaled back (inf beyond the double range).
     Factors are attached exactly when separable.  The cut's unfolding,
     scale and pivot pass (_cut_context) are read once: the scan takes the
-    pivot pass (max_abs_minor's _pivot) and the peak P is its pivot's
-    modulus.  full_separability hands in as _cut the context it tested.
+    pivot pass (max_abs_minor's _pivot), and P is the modulus of its pivot,
+    where the factors are taken.  full_separability hands in as _cut the
+    context it tested.
     """
     tolerance = _check_tolerance(tolerance)
     if state.subsystem_count < 2:
@@ -190,12 +188,12 @@ def is_separable_cut(
     if _cut is None:
         amps, e = peak_scaled(state)
         _cut = _cut_context(amps, e, float(np.linalg.norm(amps)), state.dims, cut)
-    entries, e, nrm, pivot = _cut
+    entries, e, _, pivot = _cut
     worst = max_abs_minor(entries, _pivot=pivot)
     r, c, mod, _ = pivot
     scale = float(mod[r, c]) ** 2
     separable = worst <= tolerance * scale
-    factors = _rank_one_factors(entries / nrm, state, cut) if separable else None
+    factors = _rank_one_factors(_cut, state, cut) if separable else None
     with np.errstate(over="ignore"):
         reported = float(np.ldexp(worst, 2 * e))
     return SeparabilityCertificate(
@@ -239,8 +237,9 @@ def full_separability(
     subsystem.  For exact product states the greedy order does not affect
     the verdict; it only fixes which certificates are reported.  Each
     verdict is is_separable_cut's; the scan runs only where _pivot_verdict
-    leaves it open, or for the certificates reported when no cut splits,
-    and both read the one context (_cut_context) of each tested cut.
+    leaves it open, or for the certificates reported when no cut splits;
+    both, and the factors of a cut that splits, read the one context
+    (_cut_context) of each tested cut.
     The tolerance is checked first, as in is_separable_cut, even where one
     subsystem leaves no cut to test.  Cuts over the work budget, checked on
     the input, are refused before normalizing.
@@ -263,8 +262,7 @@ def full_separability(
                 cert = is_separable_cut(current, pos, tolerance, _cut=ctx)
                 separable = cert.separable
             if separable:
-                split = cert.factors if cert else _rank_one_factors(entries / nrm, current, pos)
-                u, current = split
+                u, current = _rank_one_factors(ctx, current, pos)
                 factors.append((ids.pop(pos - 1), u))
                 break
             tested.append((ctx, cert))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArityError
+from .errors import ArityError, NonFiniteError, ShapeError
 from .states import Cut, PureState, normalize
 
 _HERMITIAN_TOL = 1e-12
@@ -36,6 +36,8 @@ class DensityMatrix:
         entries = np.array(self.entries, dtype=np.complex128)
         if entries.shape != (self.dim, self.dim):
             raise ValueError(f"expected shape {(self.dim, self.dim)}, got {entries.shape}")
+        if not np.isfinite(entries).all():  # NaN would pass every test below
+            raise NonFiniteError("density matrix entries must be finite")
         if np.max(np.abs(entries - entries.conj().T)) > _HERMITIAN_TOL:
             raise ValueError("matrix is not Hermitian within tolerance")
         if abs(np.trace(entries).real - 1.0) > _TRACE_TOL or abs(np.trace(entries).imag) > _TRACE_TOL:
@@ -88,10 +90,19 @@ def oracle_concurrence(state: PureState) -> float:
 def numeric_rank(mat, tolerance: float = 1e-9) -> int:
     """Singular values above tolerance * (largest singular value).
 
-    Accepts any 2-D array, such as a matricization; rank 1 here is the
-    spectral counterpart of "all 2x2 minors vanish".
+    Accepts any 2-D array of finite entries, such as a matricization (else
+    ShapeError or NonFiniteError), and a tolerance that is non-negative and
+    finite (else ValueError); rank 1 here is the spectral counterpart of
+    "all 2x2 minors vanish".
     """
     entries = np.asarray(mat, dtype=np.complex128)
+    if entries.ndim != 2:
+        raise ShapeError(f"expected a 2-D array, got {entries.ndim}-D")
+    if not np.isfinite(entries).all():
+        raise NonFiniteError("matrix entries must be finite")
+    tolerance = float(tolerance)
+    if not 0.0 <= tolerance < math.inf:
+        raise ValueError(f"tolerance must be non-negative and finite, got {tolerance}")
     s = np.linalg.svd(entries, compute_uv=False)
     if s.size == 0 or s[0] <= 0.0:
         return 0

@@ -256,17 +256,14 @@ def _gram_sums(stack: np.ndarray) -> list[float]:
     Each matrix keeps its own row exponents, fsum, negative-sum check and
     inf clamp, and the bits it has alone: the stack slices to its largest
     K, and a matrix with a smaller K was not capped, so its extra slices
-    are exact zeros, as are those of its zero rows that another matrix
-    keeps; exact zeros and term order do not move a correctly rounded fsum.
+    are exact zeros, as are all slices of its zero rows; exact zeros and
+    term order do not move a correctly rounded fsum.
     """
     x = stack.view(np.float64)
     peak = np.maximum.reduce(np.abs(x), axis=2, initial=0.0)
     e = np.frexp(peak)[1]  # row a's parts < 2**e_a
     nonzero = peak > 0.0  # zero rows have zero minors
-    if np.count_nonzero(nonzero) < nonzero.size:
-        keep = nonzero.any(axis=0)
-        x, e, nonzero = x[:, keep], e[:, keep], nonzero[:, keep]
-        e[~nonzero] = _NO_ROW
+    e[~nonzero] = _NO_ROW
     two = [sorted(v)[-2:] for v in e.tolist()]  # each matrix's two largest e
     if len(two[0]) < 2 or max(t[0] for t in two) == _NO_ROW:
         return [0.0] * len(two)

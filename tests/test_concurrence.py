@@ -11,6 +11,7 @@ from qconc import (
     ArityError,
     CertificateError,
     DegenerateStateError,
+    InternalConsistencyError,
     PureState,
     concurrence,
     factorize_cut,
@@ -28,7 +29,7 @@ from qconc import (
     WorkBudgetError,
 )
 from qconc import schwarz
-from qconc.concurrence import DEFAULT_TOLERANCE, MAX_CERTIFICATE_MINORS, _rank_one_factors
+from qconc.concurrence import DEFAULT_TOLERANCE, MAX_CERTIFICATE_MINORS
 from qconc.states import peak_scaled
 
 from conftest import (
@@ -46,6 +47,15 @@ from conftest import (
 )
 
 SQ2 = 1.0 / math.sqrt(2.0)
+
+
+def _factors_at(state: PureState, cut: int, r: int, c: int) -> tuple[PureState, PureState]:
+    """Normalized pivot column and pivot row over the pivot of
+    matricize(normalize(state), cut) at the pivot (r, c)."""
+    m = matricize(normalize(state), cut)
+    u, v = m[:, c], m[r] / m[r, c]
+    rest = state.dims[: cut - 1] + state.dims[cut:]
+    return PureState((m.shape[0],), u / np.linalg.norm(u)), PureState(rest, v / np.linalg.norm(v))
 
 
 class TestGoldenValues:
@@ -341,7 +351,8 @@ class TestFactorizeCut:
     @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
     def test_factors_are_those_of_the_normalized_matricization(self, scale):
         # The certificate divides its peak-scaled matricization by the norm;
-        # the factors must equal those of matricize(normalize(state), cut).
+        # the factors must equal those of matricize(normalize(state), cut),
+        # at the first entry of the largest modulus of the peak-scaled one.
         rng = np.random.default_rng(int(math.log10(scale)) + 200)
         for dims in ([2, 2], [3, 5], [2, 3, 2, 2], [4, 4, 4], [5, 1, 7]):
             parts = []
@@ -352,11 +363,43 @@ class TestFactorizeCut:
                 parts.append(make_state([n], v))
             state = make_state(dims, scale * tensor(*parts).amps)
             for cut in range(1, len(dims) + 1):
-                want = _rank_one_factors(matricize(normalize(state), cut), state, cut)
+                scaled = matricize(PureState(state.dims, peak_scaled(state)[0]), cut)
+                r, c = divmod(int(np.argmax(np.abs(scaled))), scaled.shape[1])
+                want = _factors_at(state, cut, r, c)
                 got = is_separable_cut(state, cut).factors
                 for g, w in zip(got, want):
                     assert g.dims == w.dims
                     assert g.amps.tobytes() == w.amps.tobytes(), (dims, cut)
+
+    @pytest.mark.parametrize(
+        "parts",
+        [
+            [
+                ("0x1.a481318435a31p-2", "-0x1.9a9ef3f7d2fc2p-2"),
+                ("-0x1.1f1c611a16c24p-2", "-0x1.52e11cfe6a15fp-2"),
+                ("0x1.a481318435a32p-2", "-0x1.9a9ef3f7d2fc3p-2"),
+                ("-0x1.1f1c611a16c25p-2", "-0x1.52e11cfe6a15fp-2"),
+            ],
+            [
+                ("-0x1.9b00a27f5a2d4p-2", "-0x1.007b61aaa779dp-1"),
+                ("0x1.cd233100b1ecep-3", "-0x1.95db859845f2dp-7"),
+                ("-0x1.9b00a27f5a2d5p-2", "-0x1.007b61aaa779ep-1"),
+                ("0x1.cd233100b1ed1p-3", "-0x1.95db859845f27p-7"),
+            ],
+        ],
+    )
+    def test_factors_take_the_pivot_of_the_scale(self, parts):
+        # outer([a z, a (1 + 2**-52) z], [1, w]): the peak-scaled moduli of the
+        # two rows' first entries round to a tie, which the pivot pass breaks
+        # for row 1, while over the norm row 2's is the larger.  The factors
+        # are taken where the scale is, at the pivot pass's entry.
+        state = make_state([2, 2], [complex(float.fromhex(a), float.fromhex(b)) for a, b in parts])
+        r, c, _, _ = schwarz._pivot_minors(matricize(PureState((2, 2), peak_scaled(state)[0]), 1))
+        want = _factors_at(state, 1, r, c)
+        cert = is_separable_cut(state, 1)
+        for got in (cert.factors, factorize_cut(state, 1)):
+            assert [g.amps.tobytes() for g in got] == [w.amps.tobytes() for w in want]
+        assert reconstruction_fidelity(state, 1, *cert.factors) >= 1 - 1e-10
 
     def test_all_zero_state_is_degenerate(self):
         # PureState itself refuses it, so no certificate sees a zero vector.
@@ -379,6 +422,14 @@ class TestFullSeparability:
             full_separability(make_state([3], [1, 0, 0]), tolerance=tolerance)
         with pytest.raises(ValueError, match="tolerance must be positive"):
             is_separable_cut(bell_state(), 1, tolerance=tolerance)
+
+    def test_cut_proven_entangled_that_scans_separable_is_refused(self, monkeypatch):
+        # A pivot verdict that wrongly proves every cut of a product state
+        # entangled is caught when the reported certificates are scanned.
+        monkeypatch.setattr(sys.modules["qconc.concurrence"], "_pivot_verdict", lambda *a: False)
+        state = sample_state(SamplerSpec((2, 2, 2), "product", 1))
+        with pytest.raises(InternalConsistencyError, match="proven entangled scanned separable"):
+            full_separability(state)
 
     def test_basis_state_fully_separable(self):
         result = full_separability(ket([2, 3, 2], [1, 2, 1]))

@@ -8,6 +8,7 @@ import pytest
 from qconc import (
     ArityError,
     DensityMatrix,
+    NonFiniteError,
     SamplerSpec,
     concurrence,
     make_state,
@@ -17,6 +18,7 @@ from qconc import (
     purity,
     reduced_density,
     sample_state,
+    ShapeError,
     tensor,
 )
 
@@ -49,6 +51,14 @@ class TestDensityMatrix:
     def test_negative_eigenvalue_rejected(self):
         with pytest.raises(ValueError):
             DensityMatrix(2, np.diag([1.5, -0.5]))
+
+    @pytest.mark.parametrize(
+        "entries", [[[math.nan, 0], [0, 1]], [[0.5, math.inf], [math.inf, 0.5]]], ids=["nan", "inf"]
+    )
+    def test_non_finite_entry_rejected(self, entries):
+        # Every comparison with NaN is false, so no other check catches it.
+        with pytest.raises(NonFiniteError):
+            DensityMatrix(2, entries)
 
 
 class TestReducedDensity:
@@ -168,3 +178,19 @@ class TestNumericRank:
         m = np.diag([1.0, 1e-6])
         assert numeric_rank(m) == 2  # default 1e-9 relative
         assert numeric_rank(m, tolerance=1e-3) == 1
+        assert numeric_rank(m, tolerance=0) == 2
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_entry_rejected(self, bad):
+        with pytest.raises(NonFiniteError):
+            numeric_rank(np.array([[1.0, bad], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 2, 2)])
+    def test_non_matrix_rejected(self, shape):
+        with pytest.raises(ShapeError):
+            numeric_rank(np.ones(shape))
+
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1e-9])
+    def test_bad_tolerance_rejected(self, tolerance):
+        with pytest.raises(ValueError, match="tolerance"):
+            numeric_rank(np.eye(2), tolerance=tolerance)
