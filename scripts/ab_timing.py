@@ -25,8 +25,12 @@ Both trees share one process and so one heap: glibc's malloc thresholds
 rise with the largest block either tree frees, so the script cannot show
 what a change to a pass's working memory does to page faults (a change
 that took the benchmark's bipartite_haar op from about 150 minor faults
-to none read level here).  Compare fresh processes for that, as
-perfbench/run.py and scripts/minor_timing.py do.
+to none read level here).  The warm shared heap and caches also hide
+what a pass's allocations and their cache misses cost: a kernel that
+swapped its reused scratch rows for fresh temporaries read level or a
+few percent faster here, yet took a quarter to a half longer per call
+in fresh processes.  Compare fresh processes for any change to a pass's
+working memory, as perfbench/run.py and scripts/minor_timing.py do.
 
     python scripts/ab_timing.py PARENT/src --reps 20
 """

@@ -139,8 +139,8 @@ def _rank_one_factors(ctx: tuple, state: PureState, cut: Cut) -> tuple[PureState
 
 def _check_tolerance(tolerance) -> float:
     tolerance = float(tolerance)
-    if not tolerance > 0.0:
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
+    if not 0.0 < tolerance < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
     return tolerance
 
 
@@ -239,7 +239,8 @@ def full_separability(
     verdict is is_separable_cut's; the scan runs only where _pivot_verdict
     leaves it open, or for the certificates reported when no cut splits;
     both, and the factors of a cut that splits, read the one context
-    (_cut_context) of each tested cut.
+    (_cut_context) of each tested cut; a scanned cut that splits gives
+    its certificate's factors.
     The tolerance is checked first, as in is_separable_cut, even where one
     subsystem leaves no cut to test.  Cuts over the work budget, checked on
     the input, are refused before normalizing.
@@ -261,8 +262,8 @@ def full_separability(
             if separable is None:
                 cert = is_separable_cut(current, pos, tolerance, _cut=ctx)
                 separable = cert.separable
-            if separable:
-                u, current = _rank_one_factors(ctx, current, pos)
+            if separable:  # a scanned cut's certificate holds its factors
+                u, current = cert.factors if cert else _rank_one_factors(ctx, current, pos)
                 factors.append((ids.pop(pos - 1), u))
                 break
             tested.append((ctx, cert))

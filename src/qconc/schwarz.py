@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import chain
-from typing import Iterator
 
 import numpy as np
 
@@ -262,15 +261,21 @@ def _gram_sums(stack: np.ndarray) -> list[float]:
     x = stack.view(np.float64)
     peak = np.maximum.reduce(np.abs(x), axis=2, initial=0.0)
     e = np.frexp(peak)[1]  # row a's parts < 2**e_a
-    nonzero = peak > 0.0  # zero rows have zero minors
-    e[~nonzero] = _NO_ROW
+    e[peak == 0.0] = _NO_ROW  # zero rows have zero minors
     two = [sorted(v)[-2:] for v in e.tolist()]  # each matrix's two largest e
     if len(two[0]) < 2 or max(t[0] for t in two) == _NO_ROW:
         return [0.0] * len(two)
     top = [sum(t) for t in two]
     rho = 2 * e - np.array(top, dtype=e.dtype)[:, None]  # gap terms carry 2**(rho_a + rho_b)
     d = np.zeros((2,) + e.shape)  # G_aa, high and low parts
-    tiles = _gap_terms(*_slices(x, e), rho, d)
+    z, beta = _slices(x, e)
+    S, r, k, c = z.shape
+    weights = _level_weights(k, beta)
+    step = max(1, _TILE // (S * k * max(k * r, 2 * c)))
+    width = S * min(step, r) * k * (c + 2 * r * k)
+    tiles = (
+        _tile_terms(z, weights, max(a1 - step, 0), a1, rho, d, width) for a1 in range(r, 0, -step)
+    )
     if len(two) > 1:
         tiles = list(tiles)  # every matrix's fsum reads every tile
     sums = []
@@ -278,7 +283,7 @@ def _gram_sums(stack: np.ndarray) -> list[float]:
         total = math.fsum(chain.from_iterable(tile[s] for tile in tiles))
         if total <= 0.0:  # also with fewer than two nonzero rows: all terms are exact zeros
             with np.errstate(over="ignore"):  # inf only clamps
-                trace = float(np.ldexp(d[0, s], rho[s])[nonzero[s]].sum())
+                trace = float(np.ldexp(d[0, s], rho[s]).sum())
             if total < -_BOUND * trace * trace:
                 raise InternalConsistencyError(f"minor sum {total} below its rounding bound")
             total = 0.0
@@ -314,35 +319,23 @@ def _slices(x: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, int]:
     return z.view(np.complex128), beta
 
 
-def _gap_terms(z: np.ndarray, beta: int, rho: np.ndarray, d: np.ndarray) -> Iterator[list]:
-    """Yield the gaps' fsum terms per tile of rows a0..a1-1 by columns a0..,
-    one list per matrix of the (S, r, k, c) stack z, as G_ba = conj(G_ab).
-    Matmuls of the tile's conjugated slices, its only copy of z, form the
-    slice products of conj(G_ab) and their exact sums per level i + j; a
-    tile's products and their level-order copy each hold at most _TILE
-    values.  The conjugated slices, the products and the copy share one
-    block, freed once the levels are summed, and every array of a tile
-    goes before the next (_tile_terms); each tile's block has the size of
-    the last, the largest, so each fits where the one before was freed.
-    TwoSum along the levels' running
-    sum, finest first, gives conj(G) in double-double.  Tiles run upwards,
-    so d has each G_bb.  One TwoProduct takes (G_aa, Re G_ab, -Im G_ab) *
-    (G_bb, -Re, Im): rounding is odd in the sign, so the terms are those
-    of G itself."""
-    S, r, k, c = z.shape
-    weights = _level_weights(k, beta)
-    step = max(1, _TILE // (S * k * max(k * r, 2 * c)))
-    width = S * min(step, r) * k * (c + 2 * r * k)
-    for a1 in range(r, 0, -step):
-        yield _tile_terms(z, weights, max(a1 - step, 0), a1, rho, d, width)
-
-
 def _tile_terms(
     z: np.ndarray, weights: np.ndarray, a0: int, a1: int, rho: np.ndarray, d: np.ndarray,
     width: int,
 ) -> list:
-    """_gap_terms' terms of the tile of rows a0..a1-1, with a block of width
-    values; its arrays go when it returns."""
+    """The gaps' fsum terms of the tile of rows a0..a1-1 by columns a0..,
+    one list per matrix of the (S, r, k, c) stack z, as G_ba = conj(G_ab).
+    Matmuls of the tile's conjugated slices, its only copy of z, form the
+    slice products of conj(G_ab) and their exact sums per level i + j; the
+    products and their level-order copy each hold at most _TILE values.
+    The conjugated slices, the products and the copy share one block of
+    width values, freed once the levels are summed, and every array of
+    the tile goes when it returns; each tile's block has the size of the
+    last, the largest, so each fits where the one before was freed.  TwoSum
+    along the levels' running sum, finest first, gives conj(G) in
+    double-double.  _gram_sums runs the tiles upwards, so d has each G_bb.
+    One TwoProduct takes (G_aa, Re G_ab, -Im G_ab) * (G_bb, -Re, Im):
+    rounding is odd in the sign, so the terms are those of G itself."""
     S, r, k, c = z.shape
     last = 2 * k - 2  # the coarsest level
     n, m = a1 - a0, r - a0

@@ -415,13 +415,17 @@ class TestFactorizeCut:
 
 
 class TestFullSeparability:
-    @pytest.mark.parametrize("tolerance", [math.nan, -0.5, 0.0, -math.inf])
+    @pytest.mark.parametrize("tolerance", [math.nan, -0.5, 0.0, -math.inf, math.inf])
     def test_bad_tolerance_rejected_on_one_subsystem(self, tolerance):
-        # No cut is tested, yet the tolerance is checked as is_separable_cut does.
+        # No cut is tested, yet the tolerance is checked as is_separable_cut
+        # does.  An infinite one would call the Bell state separable, with
+        # basis factors of fidelity 0.5.
         with pytest.raises(ValueError, match="tolerance must be positive"):
             full_separability(make_state([3], [1, 0, 0]), tolerance=tolerance)
         with pytest.raises(ValueError, match="tolerance must be positive"):
             is_separable_cut(bell_state(), 1, tolerance=tolerance)
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            factorize_cut(bell_state(), 1, tolerance=tolerance)
 
     def test_cut_proven_entangled_that_scans_separable_is_refused(self, monkeypatch):
         # A pivot verdict that wrongly proves every cut of a product state
@@ -709,6 +713,30 @@ class TestOnePivotPassPerCut:
         result = full_separability(tensor(pair, sample_state(SamplerSpec((8,), "haar", 4))))
         assert len(result.failed) == 2
         assert len(passes) == 5
+
+
+def test_peel_factors_a_scanned_cut_once(monkeypatch):
+    # At 1e-14 the pivot leaves both peels of this product open, so each
+    # peeling cut is scanned and its certificate's factors are the peel's;
+    # at 1e-9 the pivot decides both and the peel factors them itself.
+    module = sys.modules["qconc.concurrence"]
+    calls = {"_rank_one_factors": 0, "max_abs_minor": 0}
+    for name in calls:
+        run = getattr(module, name)
+
+        def counting(*args, _name=name, _run=run, **kwargs):
+            calls[_name] += 1
+            return _run(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    state = sample_state(SamplerSpec((8, 8, 8), "product", 5))
+    scanned = full_separability(state, 1e-14)
+    assert calls == {"_rank_one_factors": 2, "max_abs_minor": 2}
+    decided = full_separability(state, 1e-9)
+    assert calls == {"_rank_one_factors": 4, "max_abs_minor": 2}
+    assert [f.amps.tobytes() for _, f in scanned.factors] == [
+        f.amps.tobytes() for _, f in decided.factors
+    ]
 
 
 def _peel_by_scan(state, tolerance):
