@@ -18,18 +18,19 @@ scan).  max_abs_minor runs one evaluator after its one pre-pass,
 schwarz._bounded_pairs.  That reads |x|, the pivot and the minors through
 it once (schwarz._pivot_minors), keeps the row pairs whose Schwarz bound
 (or, on the near-product state, the pivot's Schur bound) reaches one exact
-lower bound, and hands over what the evaluator takes: the minors of those
-pairs whose columns pass the column bound, for the quad evaluator, where
-the Schwarz bound pruned and at most 8192 such minors remain, else the
-kept pairs, for the offset kernel.
+lower bound, and hands over what the evaluator takes.  Where the Schwarz
+bound pruned, the quad evaluator takes every minor of the kept pairs if
+they hold at most 8192 (route "kept"), else those whose columns pass the
+column bound if at most 8192 remain ("quads"); otherwise the offset
+kernel scans the kept pairs, or all of them ("kernel").
 It prints the minor count, the best wall time of each, the minor page
 faults per call next to it (flt: the ru_minflt difference over the timed
 repeats, after two untimed calls, since glibc may serve a size's first
 call from mmap and its second from fresh heap pages; a pass whose working
 memory free() hands back to the system every call shows here), their
 throughput in minors per second (of all minors, also for the max), and
-the share of the minors the max evaluated, counted in one extra, untimed
-call.
+the share of the minors the max evaluated and its route, both from one
+extra, untimed call.
 
 BLAS runs on one thread, as in perfbench/run.py, unless the thread
 variables (THREAD_VARS) are set; the header prints them.  With a default
@@ -73,9 +74,10 @@ def best_time(fn, repeats: int) -> tuple[float, float, object]:
     return best, faults / repeats, result
 
 
-def evaluated_share(mat) -> float:
+def evaluated_share(mat) -> tuple[float, str]:
     """Share of the minors max_abs_minor(mat) evaluates: the sizes of the
-    steps its evaluator reduces (schwarz._max_modulus), over all minors."""
+    steps its evaluator reduces (schwarz._max_modulus), over all minors;
+    and the route: "kept", "quads" or "kernel" (see above)."""
     sizes = []
     reduce = schwarz._max_modulus
 
@@ -83,9 +85,12 @@ def evaluated_share(mat) -> float:
         sizes.append(re.size)
         return reduce(re, im, sq)
 
-    with mock.patch.object(schwarz, "_max_modulus", counting):
+    with (mock.patch.object(schwarz, "_max_modulus", counting),
+          mock.patch.object(schwarz, "_column_quads", wraps=schwarz._column_quads) as columns,
+          mock.patch.object(schwarz, "_quad_max", wraps=schwarz._quad_max) as quads):
         max_abs_minor(mat)
-    return sum(sizes) / (math.comb(mat.shape[0], 2) * math.comb(mat.shape[1], 2))
+    route = "kernel" if not quads.called else "quads" if columns.called else "kept"
+    return sum(sizes) / (math.comb(mat.shape[0], 2) * math.comb(mat.shape[1], 2)), route
 
 
 def near_product(rng, dims) -> np.ndarray:
@@ -118,7 +123,7 @@ def main() -> int:
     print(
         f"{'dims':>10} {'minors':>10} {'kernel s':>9} {'flt':>6} {'kernel minors/s':>15} "
         f"{'sum s':>9} {'flt':>6} {'sum minors/s':>13} {'max s':>9} {'flt':>6} "
-        f"{'max minors/s':>13} {'max share':>9} {'value':>9}"
+        f"{'max minors/s':>13} {'max share':>9} {'route':>6} {'value':>9}"
     )
     cases = [([n, n], False) for n in args.dims]
     cases += [([8, 64], False), ([8, 64], True), ([8, 8, 8], False), ([8, 8, 8], True)]
@@ -133,13 +138,15 @@ def main() -> int:
         cut_dims = dims[:1] if len(dims) == 2 else dims  # the cuts concurrence sums
         minors = sum(math.comb(n, 2) * math.comb(size // n, 2) for n in cut_dims)
         sum_s, sum_flt, report = best_time(lambda: concurrence(state), args.repeats)
-        kernel, maximum = f"{'-':>9} {'-':>6} {'-':>15}", f"{'-':>9} {'-':>6} {'-':>13} {'-':>9}"
+        kernel = f"{'-':>9} {'-':>6} {'-':>15}"
+        maximum = f"{'-':>9} {'-':>6} {'-':>13} {'-':>9} {'-':>6}"
         if len(dims) == 2 and max(dims) <= QUARTIC_LIMIT:
             kernel_s, kernel_flt, _ = best_time(lambda: schwarz._max_minor(mat), args.repeats)
             max_s, max_flt, _ = best_time(lambda: max_abs_minor(mat), args.repeats)
-            share = evaluated_share(mat)
+            share, route = evaluated_share(mat)
             kernel = f"{kernel_s:>9.4f} {kernel_flt:>6.0f} {minors / kernel_s:>15.3e}"
-            maximum = f"{max_s:>9.4f} {max_flt:>6.0f} {minors / max_s:>13.3e} {share:>9.3%}"
+            maximum = (f"{max_s:>9.4f} {max_flt:>6.0f} {minors / max_s:>13.3e} {share:>9.3%} "
+                       f"{route:>6}")
         label = "[" + ",".join(f"{n:>3}" if len(dims) == 2 else str(n) for n in dims) + "]"
         print(
             f"{label:>9}{'*' if near else ' '}{minors:>10} {kernel} "

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ArityError, CertificateError, InternalConsistencyError, WorkBudgetError
 from .schwarz import _check_cut, _pivot_minors, _pivot_verdict, _unfold, matricize
 from .schwarz import max_abs_minor, minor_sum_sq, minor_sums_sq
-from .states import Cut, PureState, normalize, peak_scaled
+from .states import Cut, PureState, normalize, peak_scaled, vector_norm
 
 DEFAULT_NORMALIZATION = 4.0
 DEFAULT_TOLERANCE = 1e-9
@@ -129,8 +129,8 @@ def _rank_one_factors(ctx: tuple, state: PureState, cut: Cut) -> tuple[PureState
     u = entries[:, c] / nrm
     row = entries[r] / nrm
     v = row / row[c]
-    u = u / np.linalg.norm(u)
-    v = v / np.linalg.norm(v)
+    u = u / vector_norm(u)
+    v = v / vector_norm(v)
     return (
         PureState((entries.shape[0],), u),
         PureState(state.dims[: cut - 1] + state.dims[cut:], v),
@@ -187,7 +187,7 @@ def is_separable_cut(
     _check_budget(state, cut)
     if _cut is None:
         amps, e = peak_scaled(state)
-        _cut = _cut_context(amps, e, float(np.linalg.norm(amps)), state.dims, cut)
+        _cut = _cut_context(amps, e, vector_norm(amps), state.dims, cut)
     entries, e, _, pivot = _cut
     worst = max_abs_minor(entries, _pivot=pivot)
     r, c, mod, _ = pivot
@@ -253,7 +253,7 @@ def full_separability(
     factors: list[tuple[int, PureState]] = []
     while len(ids) > 1:
         amps, e = peak_scaled(current)  # as is_separable_cut scales it
-        nrm = float(np.linalg.norm(amps))
+        nrm = vector_norm(amps)
         tested: list[tuple[tuple, SeparabilityCertificate | None]] = []  # None: proven entangled
         for pos in range(1, len(ids) + 1):
             ctx = _cut_context(amps, e, nrm, current.dims, pos)

@@ -326,27 +326,30 @@ def _tile_terms(
     """The gaps' fsum terms of the tile of rows a0..a1-1 by columns a0..,
     one list per matrix of the (S, r, k, c) stack z, as G_ba = conj(G_ab).
     Matmuls of the tile's conjugated slices, its only copy of z, form the
-    slice products of conj(G_ab) and their exact sums per level i + j; the
-    products and their level-order copy each hold at most _TILE values.
-    The conjugated slices, the products and the copy share one block of
-    width values, freed once the levels are summed, and every array of
-    the tile goes when it returns; each tile's block has the size of the
-    last, the largest, so each fits where the one before was freed.  TwoSum
-    along the levels' running sum, finest first, gives conj(G) in
-    double-double.  _gram_sums runs the tiles upwards, so d has each G_bb.
-    One TwoProduct takes (G_aa, Re G_ab, -Im G_ab) * (G_bb, -Re, Im):
-    rounding is odd in the sign, so the terms are those of G itself."""
+    slice products of conj(G_ab); one gather (_tile_pairs) copies those of
+    its pairs a <= b, diagonal first, into level order, and a matmul sums
+    them per level i + j exactly, so every later stage sees only those
+    pairs.  The products hold at most _TILE values.  The conjugated
+    slices, the products and the gathered copy share one block of width
+    values, freed once the levels are summed, and every array of the tile
+    goes when it returns; each tile's block has the size of the last, the
+    largest, so each fits where the one before was freed.  TwoSum along
+    the levels' running sum, finest first, gives conj(G) in double-double.
+    _gram_sums runs the tiles upwards, so d has each G_bb.  One TwoProduct
+    takes (G_aa, Re G_ab, -Im G_ab) * (G_bb, -Re, Im): rounding is odd in
+    the sign, so the terms are those of G itself."""
     S, r, k, c = z.shape
     last = 2 * k - 2  # the coarsest level
     n, m = a1 - a0, r - a0
     at, size = S * n * k * c, S * n * k * m * k
+    cached = k * k * S * (n * m - n * (n - 1) // 2) <= _TILE // 2
+    ia, ib, index = (_tile_pairs if cached else _tile_pairs.__wrapped__)(S, n, m, k)
     block = np.empty(width, np.complex128)  # conj rows, products, level order
     rows = np.conjugate(z[:, a0:a1].reshape(S, n * k, c), out=block[:at].reshape(S, n * k, c))
-    p = block[at : at + size].reshape(S, n * k, m * k)
-    np.matmul(rows, z[:, a0:].reshape(S, m * k, c).transpose(0, 2, 1), out=p)
-    p = p.reshape(S, n, k, m, k).transpose(2, 4, 0, 1, 3)
-    order = block[at + size : at + 2 * size]
-    np.copyto(order.reshape(k, k, S, n, m), p)
+    p = block[at : at + size]
+    np.matmul(rows, z[:, a0:].reshape(S, m * k, c).transpose(0, 2, 1), out=p.reshape(S, n * k, -1))
+    order = block[at + size : at + size + index.size]
+    np.take(p, index, out=order, mode="clip")  # "raise" would buffer out
     levels = weights @ order.reshape(k * k, -1).view(np.float64)
     del block, rows, p, order
     acc = np.empty((last + 2, levels.shape[1]))  # running sums, then lo
@@ -360,19 +363,21 @@ def _tile_terms(
     np.subtract(levels[1:], bv, out=bv)
     lo += bv  # Knuth: acc + lo == previous acc + level
     lo = np.add.reduce(lo, axis=0, out=acc[-1])  # frees the levels' lo
-    hl = acc[-2:].reshape(2, S, n, m, 2)  # G, high and low parts
-    d[:, :, a0:a1] = hl.reshape(2, S, -1)[:, :, :: 2 * m + 2]
-    w = np.empty((4, 3, S, n, m))  # x, y, lows
-    w[0::2, 0] = d[:, :, a0:a1, None]
-    w[1::2, 0] = d[:, :, None, a0:]
-    w[0::2, 1:] = hl.transpose(0, 4, 1, 2, 3)
+    hl = acc[-2:].reshape(2, S, -1, 2)  # G, high and low parts
+    d[:, :, a0:a1] = hl[:, :, :n, 0]
+    ia, ib = ia[n:], ib[n:]  # the pairs a < b
+    below = d[:, :, a0:]
+    w = np.empty((4, 3, S, ia.size))  # x, y, lows
+    w[0::2, 0] = below[:, :, ia]
+    w[1::2, 0] = below[:, :, ib]
+    w[0::2, 1:] = hl[:, :, n:].transpose(0, 3, 1, 2)
     np.negative(w[0::2, 1:], out=w[1::2, 1:])
     x, y, xl, yl = w
     t = w[:2] * _SPLIT
     h = t - w[:2]
     np.subtract(t, h, out=h)
     np.subtract(w[:2], h, out=t)  # Veltkamp: h + t == (x, y), 26-bit parts
-    out = np.empty((4, S, n, m))  # p, then the low parts
+    out = np.empty((4, S, ia.size))  # p, then the low parts
     p = np.multiply(x, y, out=out[:3])
     err = h[0] * h[1]
     err -= p
@@ -380,19 +385,26 @@ def _tile_terms(
     for f, g in ((h[0], t[1]), (t[0], h[1]), (t[0], t[1]), (x, yl), (xl, y)):
         err += np.multiply(f, g, out=tmp)  # Dekker: p + err == x * y, then the lows
     np.add.reduce(err, axis=0, out=out[3])
-    upper = _upper(n, m)
-    ex = (rho[:, a0:a1, None] + rho[:, None, a0:]).reshape(S, -1).take(upper, axis=1)
-    terms = np.ldexp(out.reshape(4, S, -1).take(upper, axis=2), ex)
+    ex = rho[:, a0:]
+    terms = np.ldexp(out, ex[:, ia] + ex[:, ib])
     return terms.swapaxes(0, 1).reshape(S, -1).tolist()
 
 
-@lru_cache(maxsize=64)
-def _upper(n: int, m: int) -> np.ndarray:
-    """Read-only flat positions i m + j in an (n, m) tile of its pairs a < b
-    (row a0 + i, column a0 + j)."""
-    upper = np.flatnonzero(np.arange(m) > np.arange(n)[:, None])
-    upper.flags.writeable = False
-    return upper
+@lru_cache(maxsize=16)
+def _tile_pairs(S: int, n: int, m: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (i, j, index) of the pairs a <= b of an (n, m) tile of S
+    matrices with k slices, row a0 + i and column a0 + j, the n diagonal
+    pairs first, then a < b row by row: entry ((ki k + kj) S + s) P + q of
+    index, P = i.size, is the flat position, in the tile's (S, n, k, m, k)
+    slice products, of slices ki, kj of pair q of matrix s.  Cached while
+    it has at most _TILE / 2 entries (16 * 512 KiB at most), as shapes recur."""
+    i, j = np.divmod(np.flatnonzero(np.arange(m) > np.arange(n)[:, None]), m)
+    i, j = np.concatenate([np.arange(n), i]), np.concatenate([np.arange(n), j])
+    slices = (np.arange(k)[:, None] * (m * k) + np.arange(k)).reshape(-1, 1, 1)
+    index = slices + (np.arange(S) * (n * k * m * k))[:, None] + (i * (k * m * k) + j * k)
+    for v in (i, j, index):
+        v.flags.writeable = False
+    return i, j, index.reshape(-1)
 
 
 @lru_cache(maxsize=64)
@@ -462,9 +474,13 @@ def _bounded_pairs(
     pivot, the caller's pass over the tall x, if given): the row pairs
     (a, b), lexicographic, that can hold the largest |minor|, the
     lower bound L they were tested against, and, where the Schwarz bound
-    dropped the others, the minors of theirs that pass the column bound
-    (_column_quads; None past _CHUNK of them, or where the Schur bound
-    dropped the others); None if no pair is dropped.  Every bound below
+    dropped the others, the minors for the quad evaluator: every minor of
+    the kept pairs, as (P, 1) rows a, b and the column pairs of
+    _pair_block(nc, ...), where they number at most _CHUNK, else those
+    that pass the column bound (_column_quads; None past _CHUNK of them,
+    or where the Schur bound dropped the others); None if no pair is
+    dropped.  Evaluating a superset of the column bound's minors within
+    the same pairs keeps the max's bits.  Every bound below
     holds for any |D| within 9u P^2 of the exact minors, as a pass over x.T
     read transposed is, and L is a modulus the kernel computes.
 
@@ -529,7 +545,10 @@ def _bounded_pairs(
         keep &= upper
         del bound
         a, b = np.divmod(np.flatnonzero(keep), nr)
-        return a, b, low, _column_quads(padded, two[:, 1], a, b, low)
+        per = nc * (nc - 1) // 2
+        if a.size * per > _CHUNK:
+            return a, b, low, _column_quads(padded, two[:, 1], a, b, low)
+        return a, b, low, (a[:, None], b[:, None], *_pair_block(nc, 0, per))
     peak, top = float(mod[r, c]), float(minors.max())
     pad = _PAD * peak * peak
     if not (2.0**-400 <= peak <= 2.0**400 and top > pad):
@@ -556,7 +575,11 @@ def _column_quads(
     """The minors (a, b, j, k), j < k, of the row pairs a, b of the tall x
     whose columns both pass the column bound against L = low, None if more
     than _CHUNK; mod is |x| + _TINY and peak its row maxima, as the Schwarz
-    bound reads them.
+    bound reads them.  _bounded_pairs runs it only where the pairs hold
+    more than _CHUNK minors: below that, its 40 or so numpy calls cost
+    about what evaluating every minor of the pairs does (on Haar [8, 8, 8]
+    cuts, medians: 40 us to keep 12 of 1204 minors, which _quad_max
+    evaluates all together in 54 us, or the 12 in 19 us).
 
     No minor of rows a, b at columns j, k exceeds |x_aj| |x_bk| + |x_ak|
     |x_bj| <= g_j = |x_aj| m_b + m_a |x_bj| (m_a the largest |x[a, :]|), nor
@@ -595,14 +618,22 @@ def _column_quads(
 
 def _quad_max(x: np.ndarray, a: np.ndarray, b: np.ndarray, j: np.ndarray, k: np.ndarray) -> float:
     """Largest |minor| of rows a, b at columns j, k of the tall x, one
-    minor per (a, b, j, k), reduced by _max_modulus.
+    minor per (a, b, j, k) as they broadcast, reduced by _max_modulus:
+    quads (four arrays of one shape), or every minor of row pairs a, b,
+    (P, 1) columns, at column pairs j, k, whose rows are gathered whole
+    and then their columns, at a third of the cost of a broadcast index.
 
     The offset kernel's 14 elementwise operations in its order, so each
     modulus is the kernel's bit for bit: where the kernel reaches columns
     j < k past the last column it computes q - p for p - q, which only
     negates the minor.
     """
-    aj, ak, bj, bk = x[a, j], x[a, k], x[b, j], x[b, k]
+    if a.ndim == 2:
+        xa, xb = x.take(a[:, 0], axis=0), x.take(b[:, 0], axis=0)
+        aj, ak = xa.take(j, axis=1), xa.take(k, axis=1)
+        bj, bk = xb.take(j, axis=1), xb.take(k, axis=1)
+    else:
+        aj, ak, bj, bk = x[a, j], x[a, k], x[b, j], x[b, k]
     re = (aj.real * bk.real - aj.imag * bk.imag) - (ak.real * bj.real - ak.imag * bj.imag)
     im = (aj.real * bk.imag + aj.imag * bk.real) - (ak.real * bj.imag + ak.imag * bj.real)
     return _max_modulus(re, im, np.empty_like(re))
@@ -610,12 +641,17 @@ def _quad_max(x: np.ndarray, a: np.ndarray, b: np.ndarray, j: np.ndarray, k: np.
 
 def _modulus(x: np.ndarray, r: int, c: int, a: int, j: int) -> float:
     """|minor| of rows r, a at columns c, j as the kernel evaluates it
-    (CPython's complex product, then libm hypot; row or column order only
-    negates it): by the determinism contract one of the kernel's own
-    moduli, bit for bit, at any scale; 0.0 or NaN if r == a or c == j."""
+    (CPython's complex product, then abs(), which is libm hypot, as
+    np.hypot is, and raises OverflowError where the result is inf; row or
+    column order only negates it): by the determinism contract one of the
+    kernel's own moduli, bit for bit, at any scale; 0.0 or NaN if r == a or
+    c == j.  abs() of a NaN part reads a stale errno, so ERANGE left by an
+    earlier libm call raises too: that gives NaN, as hypot does."""
     w = complex(x[r, c]) * complex(x[a, j]) - complex(x[r, j]) * complex(x[a, c])
-    with np.errstate(over="ignore"):
-        return float(np.hypot(w.real, w.imag))
+    try:
+        return abs(w)
+    except OverflowError:
+        return math.inf if w == w else math.nan
 
 
 def _top_two(a: np.ndarray) -> np.ndarray:

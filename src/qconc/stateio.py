@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteError, StateFormatError
-from .states import PureState, check_dims, make_state, normalize, tensor
+from .states import PureState, check_dims, make_state, normalize, tensor, vector_norm
 
 SAMPLER_KINDS = ("haar", "product", "basis")
 
@@ -145,7 +145,7 @@ def _haar_vector(rng: np.random.Generator, n: int) -> np.ndarray:
     re = rng.standard_normal(n)
     im = rng.standard_normal(n)
     vec = re + 1j * im
-    return vec / np.linalg.norm(vec)
+    return vec / vector_norm(vec)
 
 
 def sample_state(spec: SamplerSpec) -> PureState:

@@ -25,6 +25,10 @@ from .errors import DegenerateStateError, NonFiniteError, ShapeError
 # on the row side of the corresponding matricization.
 Cut = int
 
+# Values per BLAS dot in vector_norm: OpenBLAS splits only dots of more
+# than 10000 values across its threads.
+_NORM_CHUNK = 1 << 13
+
 
 @dataclass(frozen=True, eq=False)
 class PureState:
@@ -73,7 +77,7 @@ class PureState:
         amplitudes, so it is inf only when the norm itself is."""
         amps, e = peak_scaled(self)
         with np.errstate(over="ignore"):
-            return float(np.ldexp(np.linalg.norm(amps), e))
+            return float(np.ldexp(vector_norm(amps), e))
 
     def __repr__(self) -> str:
         return f"PureState(dims={self.dims}, size={self.size})"
@@ -136,12 +140,25 @@ def normalize(state: PureState) -> PureState:
     The norm is taken of the peak_scaled amplitudes, so a state of any
     finite magnitude normalizes.  Where the plain norm neither overflows nor
     underflows and no part is below 2**-1021 times the largest, the result
-    equals the amplitudes divided by their plain norm, bit for bit.  Past
-    about 10,000 amplitudes the norm is a threaded BLAS dot, so these bits,
-    and so concurrence, factors and CLI output, depend on the thread count.
+    equals the amplitudes divided by their plain norm (vector_norm), bit
+    for bit.
     """
     amps, _ = peak_scaled(state)
-    return PureState(state.dims, amps / np.linalg.norm(amps))
+    return PureState(state.dims, amps / vector_norm(amps))
+
+
+def vector_norm(v: np.ndarray) -> float:
+    """Euclidean norm of the complex array v, read flat, whose bits do not
+    depend on the BLAS thread count: np.linalg.norm's two dots, of the real
+    and the imaginary parts, per chunk of _NORM_CHUNK values, each on one
+    BLAS thread, and the chunks added in order.  Up to one chunk it is
+    np.linalg.norm(v), bit for bit."""
+    v = v.ravel(order="K")
+    total = 0.0
+    for start in range(0, v.size, _NORM_CHUNK):
+        part = v[start : start + _NORM_CHUNK]
+        total += part.real.dot(part.real) + part.imag.dot(part.imag)
+    return math.sqrt(total)
 
 
 def amplitude(state: PureState, multi_index) -> complex:

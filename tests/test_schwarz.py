@@ -1,5 +1,7 @@
 """Tests for Schwarz gaps, matricizations, and the 2x2 minor kernel."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -831,8 +833,19 @@ class TestMinorSumAccuracy:
         cases = [_gaussian(rng, 9, 13), _gaussian(rng, 8, 64), _near_product(1, 1e-9, (12, 12))]
         cases[0][[2, 5]] = 0.0  # zero rows
         want = [minor_sum_sq(m).hex() for m in cases]
+        # Three 5 x 4 matrices in one stack, one with zero rows; parts down
+        # to 1e-7 of a row's peak take 4 slices, so at _TILE 500 a stack of
+        # two runs in two tiles, the upper one gathered from row a0 = 2.
+        stack = [_gaussian(rng, 5, 4) * 10.0 ** rng.integers(-7, 1, (5, 4)) for _ in range(3)]
+        stack[1][[0, 3]] = 0.0
+        want_stack = [minor_sum_sq(m).hex() for m in stack]
+        assert [v.hex() for v in schwarz.minor_sums_sq(stack)] == want_stack
         monkeypatch.setattr(schwarz, "_TILE", tile)
         assert [minor_sum_sq(m).hex() for m in cases] == want
+        with mock.patch.object(schwarz, "_tile_terms", wraps=schwarz._tile_terms) as tiles:
+            assert [v.hex() for v in schwarz.minor_sums_sq(stack)] == want_stack
+        gathers = {(call.args[0].shape[0], call.args[2]) for call in tiles.call_args_list}
+        assert any(S > 1 and a0 > 0 for S, a0 in gathers) == (tile == 500)
 
     def test_rank_one_rows_2000_binades_apart_warn_nothing(self):
         # The sum is 0.0, and the clamp's bound overflows: that must not warn.
@@ -913,6 +926,52 @@ def test_bits_do_not_depend_on_blas_threads():
         outputs.append(json.loads(run.stdout))
     assert outputs[0] == outputs[1]
     assert len(outputs[0]) == 3 + len(DELTAS)
+
+
+_CLI_PROBE = """
+import contextlib, io, json, sys
+from qconc.cli import cli_main
+outputs = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli_main(argv)
+    outputs.append((code, out.getvalue()))
+print(json.dumps(outputs))
+"""
+
+
+def test_cli_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # Every state has 16384 amplitudes: OpenBLAS splits a dot of more than
+    # 10000 values across its threads, and every norm here takes chunks of
+    # 8192 (states.vector_norm).  The [16384, 1] state is separable at both
+    # cuts with no minors, so its certificates are only its factors.
+    from qconc.cli import cli_main
+
+    files = {}
+    for name, dims, kind in (("haar", "128,128", "haar"), ("line", "16384,1", "haar"),
+                             ("product", "2,2,4096", "product")):
+        files[name] = str(tmp_path / f"{name}.json")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli_main(["sample", "--dims", dims, "--kind", kind, "--seed", "7",
+                             "--out", files[name]]) == 0
+    argvs = [["sample", "--dims", "128,128", "--kind", "haar", "--seed", "7"],
+             ["concurrence", "--state", files["haar"]],
+             ["concurrence", "--state", files["product"]],
+             ["separability", "--state", files["line"]],
+             ["fullsep", "--state", files["haar"]],
+             ["fullsep", "--state", files["product"]]]
+    src = str(Path(schwarz.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        run = subprocess.run([sys.executable, "-c", _CLI_PROBE, json.dumps(argvs)], env=env,
+                             capture_output=True, text=True, timeout=120, check=True)
+        outputs.append(json.loads(run.stdout))
+    assert [code for code, _ in outputs[0]] == [0] * len(argvs)
+    for argv, one, two in zip(argvs, *outputs):
+        assert one == two, argv[0]
 
 
 _FAULT_PROBE = """
@@ -1086,6 +1145,38 @@ class TestPrunedMaxMatchesAllPairs:
         u = 1.456e154 * np.exp(1j * np.pi / 8)
         m = np.array([[u, 0], [0, u], [1.0, 1.0]])
         assert max_abs_minor(m) == math.inf == _all_pairs_max(m)
+
+    def test_modulus_is_hypot(self):
+        # _modulus takes abs() of a Python complex: libm hypot, as np.hypot,
+        # bit for bit, on parts that overflow (then its OverflowError gives
+        # inf), are NaN (inf - inf), or are subnormal.
+        cases = [[[1e200 + 1e200j, 0], [0, 1e200]],  # both parts inf
+                 [[1.5e308 + 1.5e308j, 0], [0, 1]],  # finite parts, modulus inf
+                 [[1e200, 1e200], [1e200, 1e200]],  # NaN from inf - inf
+                 [[1e200 + 1e200j, 0], [0, 1e200 + 1e200j]],  # NaN and inf parts
+                 [[5e-324 + 5e-324j, 0], [0, 1]],  # subnormal parts
+                 [[3e-310, 1e-10], [4e-300, 7e-10j]],  # subnormal imaginary part
+                 [[0.6 + 0.8j, 0.1], [0.3, 0.9 - 0.2j]]]
+        for case in cases:
+            x = np.array(case, dtype=complex)
+            w = complex(x[0, 0]) * complex(x[1, 1]) - complex(x[0, 1]) * complex(x[1, 0])
+            with np.errstate(over="ignore"):
+                want = float(np.hypot(w.real, w.imag))
+            assert schwarz._modulus(x, 0, 0, 1, 1).hex() == want.hex(), case
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's errno location")
+    def test_modulus_of_a_nan_part_ignores_a_stale_errno(self):
+        # CPython's abs(complex) returns NaN for a NaN part without clearing
+        # errno, then raises OverflowError if an earlier libm call left it
+        # at ERANGE, as np.hypot does on overflow.
+        import ctypes
+        import errno
+
+        location = getattr(ctypes.CDLL(None), "__errno_location")  # no name mangling
+        location.restype = ctypes.POINTER(ctypes.c_int)
+        x = np.array([[1e200, 1e200], [1e200, 1e200]], dtype=complex)
+        location()[0] = errno.ERANGE
+        assert math.isnan(schwarz._modulus(x, 0, 0, 1, 1))
 
     def test_peaks_whose_square_overflows(self):
         # Every row peaks near 1.4e154 in column 0, so the least peak squared
@@ -1448,13 +1539,39 @@ class TestQuadEvaluator:
 
     @pytest.mark.parametrize("dims", [(32, 32), (48, 48), (8, 8, 8)])
     def test_haar_cuts_take_the_quad_path(self, dims):
+        # Haar [8, 8, 8] cuts keep at most _CHUNK minors in their kept pairs
+        # and evaluate all of them; [32, 32] and [48, 48] cuts keep more and
+        # run the column bound first.
+        column_bound = int(len(dims) == 2)
         for seed in range(3):
             for mat in _peak_scaled_cuts(dims, seed):
                 want = _all_pairs_max(mat).hex()
                 for x in (mat, mat.T):
-                    value, calls = _evaluator_calls(x)
+                    with mock.patch.object(schwarz, "_column_quads",
+                                           wraps=schwarz._column_quads) as columns:
+                        value, calls = _evaluator_calls(x)
                     assert calls == (1, 0), (seed, x.shape)
+                    assert columns.call_count == column_bound, (seed, x.shape)
                     assert value.hex() == want, (seed, x.shape)
+
+    @pytest.mark.parametrize("big, column_bound", [(128, 0), (129, 1)])
+    def test_every_kept_minor_up_to_the_chunk(self, big, column_bound):
+        # Two columns, so one minor per row pair.  Unit rows bound every
+        # pair of theirs by 1, which no minor exceeds, and rows near 1e-3
+        # drop every other pair: 128 unit rows keep 8128 minors, at most
+        # _CHUNK, and go straight to the quad evaluator; 129 keep 8256.
+        rng = np.random.default_rng(big)
+        angle = rng.uniform(0, np.pi / 2, big)
+        unit = np.stack([np.cos(angle), np.sin(angle)], axis=1)
+        unit = unit * np.exp(1j * rng.uniform(0, 7, (big, 2)))
+        m = np.vstack([unit, 1e-3 * _gaussian(rng, 72, 2)])[rng.permutation(big + 72)]
+        kept = schwarz._bounded_pairs(m)[0].size
+        assert kept == big * (big - 1) // 2
+        assert (kept <= schwarz._CHUNK) == (column_bound == 0)
+        with mock.patch.object(schwarz, "_column_quads", wraps=schwarz._column_quads) as columns:
+            value = max_abs_minor(m)
+        assert columns.call_count == column_bound
+        assert value.hex() == _all_pairs_max(m).hex()
 
     @pytest.mark.parametrize("shape", [(6, 6), (9, 5), (5, 9), (7, 8)])
     def test_every_modulus_is_the_kernels(self, shape):

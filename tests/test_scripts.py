@@ -76,6 +76,20 @@ def test_minor_timing_prints_faults_per_call():
     assert [header[i - 1] for i, word in enumerate(header) if word == "flt"] == ["s"] * 3
 
 
+def test_minor_timing_prints_the_route():
+    # The [8, 64] row has the shape of every [8, 8, 8] cut: its Gaussian
+    # state keeps 40 row pairs, 1120 minors, all of which the quad
+    # evaluator takes without the column bound.
+    run = _run(["minor_timing.py", "--dims", "4", "--repeats", "1"])
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    header = lines[1].split()
+    assert header[header.index("share") + 1] == "route"
+    [row] = [line for line in lines if line.startswith("[  8, 64] ")]
+    assert row.split()[-2] == "kept"
+    assert row.split()[-3] == f"{1120 / 56448:.3%}"
+
+
 def _run(argv, unset=()):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     for var in unset:
