@@ -10,12 +10,15 @@ are those of the benchmark's in-process workloads: concurrence plus
 full_separability of [8,8,8] states of the four tripartite_mixed kinds
 (Haar, product, near-product separable and near-product entangled), and
 concurrence plus is_separable_cut of both cuts of a Haar [32,32] state
-(bipartite_haar).
+(bipartite_haar).  The stateio kind times the state file round trip that
+the benchmark's set-up runs per state: emit_state then parse_state of a
+Haar [32,32] state.
 
 Every rep runs, per kind and state, --calls ops of one tree and then of the
 other, alternating which tree goes first from one state to the next and
 from one rep to the next; one op's time is the mean of its --calls.  The
-script first checks that both trees give the same outputs bit for bit.  It
+script first checks that both trees give the same outputs bit for bit
+(for stateio, the same file bytes and the same parsed amplitudes).  It
 prints each kind's median op time per tree and their ratio B/A, then, as
 the benchmark's tripartite_mixed p50 is taken, the median of the four
 tripartite kind medians and its ratio.  BLAS runs on one thread, as in
@@ -88,7 +91,7 @@ def near_product(rng, dims, separable: bool) -> np.ndarray:
 
 
 def amplitudes(kind: str, rng) -> tuple[tuple[int, ...], np.ndarray]:
-    if kind == "bipartite_haar":
+    if kind in ("bipartite_haar", "stateio"):
         return (32, 32), unit(rng, 1024)
     dims = (8, 8, 8)
     if kind == "haar":
@@ -102,6 +105,11 @@ def op(qconc, kind: str):
     """The benchmark's op on one state, as a function of the state."""
     if kind == "bipartite_haar":
         return lambda s: (qconc.concurrence(s), [qconc.is_separable_cut(s, c) for c in (1, 2)])
+    if kind == "stateio":
+        def round_trip(s):
+            text = qconc.emit_state(s, label="ab")
+            return text, qconc.parse_state(text)
+        return round_trip
     return lambda s: (qconc.concurrence(s), qconc.full_separability(s))
 
 
@@ -146,7 +154,7 @@ def main() -> int:
         sys.path.insert(0, tmp)
         trees = (load(args.a, "qconc_a", tmp), load(args.b, "qconc_b", tmp))
         rng = np.random.default_rng(args.seed)
-        kinds = TRIPARTITE + ("bipartite_haar",)
+        kinds = TRIPARTITE + ("bipartite_haar", "stateio")
         cases = []  # (kind, [(op, state) per tree]) per state
         for kind in kinds:
             for _ in range(args.states):

@@ -21,7 +21,11 @@ No state has more than 4096 amplitudes.  Hashed, in this order per state:
   the cut) and the doubles on either side of it;
 - stdout, stderr and exit code of in-process cli_main calls (concurrence,
   separability, factorize and fullsep, some failing on purpose) on about
-  24 states of the corpus and on the near ties.
+  24 states of the corpus and on the near ties;
+- the same of cli_main sample calls writing to stdout (SAMPLE_CALLS: Haar,
+  product and basis specs), which pins the state file writer's bytes;
+- parse_state of PARSE_DOCUMENTS: integer, -0.0 and large-integer
+  components, and pairs it refuses.
 
 An exception a call raises is hashed as its type and message.  The script
 prints the thread variables, the number of records and the digest.
@@ -60,6 +64,7 @@ from qconc import (  # noqa: E402
     max_abs_minor,
     minor_sum_sq,
     normalize,
+    parse_state,
     sample_state,
     tensor,
 )
@@ -80,6 +85,25 @@ NEAR_TIES = (
      ("0x1.cd233100b1ecep-3", "-0x1.95db859845f2dp-7"),
      ("-0x1.9b00a27f5a2d5p-2", "-0x1.007b61aaa779ep-1"),
      ("0x1.cd233100b1ed1p-3", "-0x1.95db859845f27p-7")),
+)
+
+# 3 x 2731 = 8193 amplitudes: past 2**13 pairs, the writer formats more than
+# one block of values.
+SAMPLE_CALLS = (
+    ["sample", "--dims", "32,32", "--kind", "haar", "--seed", "1"],
+    ["sample", "--dims", "3,2731", "--kind", "haar", "--seed", "2"],
+    ["sample", "--dims", "3,4,5", "--kind", "product", "--seed", "3"],
+    ["sample", "--dims", "4,8", "--kind", "basis", "--seed", "4"],
+)
+
+PARSE_DOCUMENTS = (
+    '{"dims": [2, 2], "amps": [[1, 0], [0, -2], [3, 0], [0, 4]]}',
+    '{"dims": [2], "amps": [[-0.0, 1.0], [0.0, -0.0]], "label": "signed zeros"}',
+    '{"dims": [3], "amps": [[18446744073709555713, -9223372036854775809], '
+    '[9007199254740993, 1e300], [-0, 5e-324]]}',
+    '{"dims": [2], "amps": [[1, 0], [' + "9" * 400 + ', 0]]}',
+    '{"dims": [2], "amps": [[1, 0], [0, true]]}',
+    '{"dims": [2], "amps": []}',
 )
 
 
@@ -235,6 +259,10 @@ def main() -> int:
                     feed((name, argv, run_cli(argv)))
         finally:
             os.chdir(home)
+    for argv in SAMPLE_CALLS:
+        feed((argv, run_cli(argv)))
+    for doc in PARSE_DOCUMENTS:
+        feed(("parse", doc, outcome(parse_state, doc)))
     print(f"records: {count}")
     print(f"sha256: {digest.hexdigest()}")
     return 0

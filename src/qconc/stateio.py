@@ -22,6 +22,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -36,13 +37,9 @@ SAMPLER_KINDS = ("haar", "product", "basis")
 MAX_SAMPLE_AMPLITUDES = 1 << 20
 
 
-def _fmt_float(x: float) -> str:
-    # 17 significant digits; force a decimal point so json round-trips the
-    # value (and the sign of -0.0) as a float.
-    s = format(float(x), ".17g")
-    if not any(ch in s for ch in ".eE"):
-        s += ".0"
-    return s
+# Pairs per %-format in emit_state (2**14 values): one format over every
+# value would hold all their digits twice over at once.
+_CHUNK = 1 << 13
 
 
 def _reject_constant(token: str):
@@ -76,7 +73,28 @@ def parse_state(text: str) -> PureState:
     amps = doc.get("amps")
     if not isinstance(amps, list):
         raise StateFormatError('"amps" must be an array of [re, im] pairs')
-    parts = np.empty((len(amps), 2))
+    parts = _pair_parts(amps)
+    label = doc.get("label")
+    if label is not None and not isinstance(label, str):
+        raise StateFormatError('"label" must be a string')
+    return make_state(dims, parts.view(np.complex128))
+
+
+def _pair_parts(amps: list) -> np.ndarray:
+    """The [re, im] pairs of amps as one float64 array of interleaved parts.
+
+    Checked and converted in C-level passes; only a document that fails
+    them goes through the per-pair loop, which names the first bad pair.
+    """
+    if (
+        set(map(type, amps)) <= {list}
+        and set(map(len, amps)) <= {2}
+        and set(map(type, chain.from_iterable(amps))) <= {int, float}
+    ):
+        try:
+            return np.fromiter(chain.from_iterable(amps), np.float64, 2 * len(amps))
+        except OverflowError:
+            pass
     for i, pair in enumerate(amps):
         if not (
             isinstance(pair, list)
@@ -85,13 +103,10 @@ def parse_state(text: str) -> PureState:
         ):
             raise StateFormatError(f"amps[{i}] must be a [re, im] pair of numbers")
         try:
-            parts[i] = pair
+            np.array(pair, dtype=np.float64)
         except OverflowError:
             raise StateFormatError(f"amps[{i}] contains an integer too large for a double") from None
-    label = doc.get("label")
-    if label is not None and not isinstance(label, str):
-        raise StateFormatError('"label" must be a string')
-    return make_state(dims, parts.view(np.complex128))
+    raise AssertionError("the per-pair loop found no pair the batched check refused")
 
 
 def emit_state(state: PureState, label: str | None = None) -> str:
@@ -102,14 +117,23 @@ def emit_state(state: PureState, label: str | None = None) -> str:
     """
     if label is not None and not isinstance(label, str):
         raise TypeError(f"label must be a string or None, got {type(label).__name__}")
-    dims_part = "[" + ", ".join(str(d) for d in state.dims) + "]"
-    amps_part = "[" + ", ".join(
-        f"[{_fmt_float(z.real)}, {_fmt_float(z.imag)}]" for z in state.amps
-    ) + "]"
-    parts = [f'"dims": {dims_part}', f'"amps": {amps_part}']
-    if label is not None:
-        parts.append(f'"label": {json.dumps(label)}')
-    return "{" + ", ".join(parts) + "}\n"
+    # 17 significant digits round-trip every double.  "%.17g" prints an
+    # integral value below 1e17 in magnitude, -0.0 included, without a
+    # decimal point, so json would read it back as an int; "%.1f" prints
+    # the same digits plus ".0".
+    flat = state.amps.view(np.float64)
+    integral = (flat == np.floor(flat)) & (np.abs(flat) < 1e17)
+    pair_formats = np.array(
+        ["[%.17g, %.17g]", "[%.17g, %.1f]", "[%.1f, %.17g]", "[%.1f, %.1f]"], dtype=object
+    )
+    formats = pair_formats[2 * integral[0::2] + integral[1::2]]
+    amps_part = ", ".join(
+        ", ".join(formats[i:i + _CHUNK].tolist()) % tuple(flat[2 * i:2 * (i + _CHUNK)].tolist())
+        for i in range(0, len(formats), _CHUNK)
+    )
+    dims_part = ", ".join(map(str, state.dims))
+    label_part = "" if label is None else f', "label": {json.dumps(label)}'
+    return f'{{"dims": [{dims_part}], "amps": [{amps_part}]{label_part}}}\n'
 
 
 @dataclass(frozen=True)

@@ -90,6 +90,16 @@ def test_minor_timing_prints_the_route():
     assert row.split()[-3] == f"{1120 / 56448:.3%}"
 
 
+def test_ab_timing_times_the_state_file_round_trip():
+    # The stateio kind: emit_state then parse_state of a Haar [32,32] state,
+    # after both trees were checked to write the same bytes.
+    run = _run(["ab_timing.py", "--reps", "1", "--calls", "1", "--states", "1"])
+    assert run.returncode == 0, run.stderr
+    assert "outputs: the same bits on every state" in run.stdout
+    [row] = [line.split() for line in run.stdout.splitlines() if line.split()[:1] == ["stateio"]]
+    assert len(row) == 4
+
+
 def _run(argv, unset=()):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     for var in unset:

@@ -1,7 +1,10 @@
 """Tests for the state file format and the seeded state samplers."""
 
+import hashlib
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,6 +52,10 @@ GOLDEN_PRODUCT_2X3_SEED11 = [
 GOLDEN_EMIT_HAAR_2_SEED1 = (
     '{"dims": [2], "amps": [[0.21424427007839494, 0.20485384406841473], '
     '[0.50936062319821673, -0.80788987544348734]], "label": "pin"}\n'
+)
+
+GOLDEN_EMIT_HAAR_32X32_SEED1_SHA256 = (
+    "148fc2b88103d2016b63a5972f478b414d42397028363314698a4370e6a228b4"
 )
 
 
@@ -125,6 +132,58 @@ class TestParseState:
         s = parse_state('{"dims":[2],"amps":[[3,0],[4,0]]}')
         assert s.norm() == pytest.approx(5.0)
 
+    @pytest.mark.parametrize(
+        "pair",
+        ["[0.5]", "[0.5, 0.5, 0.5]", '["0.5", 0.5]', "[0.5, true]", "[[0.5], 0.5]", "null",
+         "[0.5, null]", '{"re": 0.5, "im": 0.5}'],
+    )
+    def test_bad_pair_far_into_the_document_is_named(self, pair):
+        # All other pairs are valid, so the batched check alone cannot name it.
+        with pytest.raises(StateFormatError) as err:
+            parse_state(_long_document(pair))
+        assert str(err.value) == "amps[3000] must be a [re, im] pair of numbers"
+
+    def test_integer_too_large_for_a_double_is_named(self):
+        with pytest.raises(StateFormatError) as err:
+            parse_state(_long_document("[" + "7" * 400 + ", 0.5]"))
+        assert str(err.value) == "amps[3000] contains an integer too large for a double"
+
+    def test_first_bad_pair_is_named(self):
+        text = _long_document('["x", 0]').replace("[0.5, 0.5]]}", "[1" + "0" * 400 + ", 0]]}")
+        with pytest.raises(StateFormatError, match=re.escape("amps[3000] must be")):
+            parse_state(text)
+
+    def test_integer_components_convert_as_float_does(self):
+        ints = [3, 0, 2**53 + 1, -(2**63 + 1), 2**64 + 2**12 + 1, 10**300 + 7,
+                2**1024 - 2**970 - 1, 1]
+        text = json.dumps({"dims": [len(ints) // 2],
+                           "amps": [list(p) for p in zip(ints[0::2], ints[1::2])]})
+        parts = parse_state(text).amps.view(np.float64)
+        assert parts.tobytes() == np.array([float(v) for v in ints]).tobytes()
+
+    def test_empty_amps_is_a_shape_error(self):
+        with pytest.raises(ShapeError):
+            parse_state('{"dims":[2],"amps":[]}')
+
+
+def _long_document(pair: str, count: int = 4096, at: int = 3000) -> str:
+    """A [count] state document whose pair at index at is the given JSON text."""
+    pairs = ["[0.5, 0.5]"] * count
+    pairs[at] = pair
+    return '{"dims": [%d], "amps": [%s]}' % (count, ", ".join(pairs))
+
+
+def _reference_float(x: float) -> str:
+    """The state file's number format, one value at a time."""
+    s = format(x, ".17g")
+    return s if any(ch in s for ch in ".eE") else s + ".0"
+
+
+def _reference_document(state) -> str:
+    pairs = ", ".join(f"[{_reference_float(z.real)}, {_reference_float(z.imag)}]"
+                      for z in state.amps)
+    return '{"dims": [%s], "amps": [%s]}\n' % (", ".join(map(str, state.dims)), pairs)
+
 
 class TestEmitState:
     def test_canonical_key_order(self):
@@ -169,6 +228,34 @@ class TestEmitState:
         again = parse_state(emit_state(s))
         assert again.dims == s.dims
         assert np.array_equal(again.amps, s.amps)
+
+    def test_special_values_match_the_reference_format(self):
+        values = [0.0, -0.0, -7.0, 1e16, 99999999999999984.0, 1e17, -1e17, 2.0**60,
+                  5e-324, 1e-300, 1e300, 0.5, 2.0**53 + 2, -123456.0, 1e15 + 0.125]
+        values += [-v for v in values]
+        s = make_state([len(values) // 2], np.array(values).view(np.complex128))
+        assert emit_state(s) == _reference_document(s)
+        assert parse_state(emit_state(s)).amps.tobytes() == s.amps.tobytes()
+
+    @pytest.mark.parametrize("n", [8191, 8192, 8193, 16385])
+    def test_states_across_the_chunk_size_match_the_reference(self, n):
+        s = sample_state(SamplerSpec((n,), "haar", n))
+        assert emit_state(s) == _reference_document(s)
+
+    def test_basis_state_matches_the_reference(self):
+        s = sample_state(SamplerSpec((4, 8), "basis", 0))
+        assert emit_state(s) == _reference_document(s)
+        assert emit_state(s).startswith('{"dims": [4, 8], "amps": [[1.0, 0.0], [0.0, 0.0], ')
+
+    def test_frozen_haar_32x32_emission(self):
+        text = emit_state(sample_state(SamplerSpec((32, 32), "haar", 1)), label="pin")
+        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_EMIT_HAAR_32X32_SEED1_SHA256
+
+    def test_readme_example_is_the_writers_output(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        [line] = [line for line in readme.splitlines() if line.startswith('{"dims": [2, 2]')]
+        bell = make_state([2, 2], [1 / math.sqrt(2), 0, 0, 1 / math.sqrt(2)])
+        assert line + "\n" == emit_state(bell, label="bell")
 
     def test_round_trip_haar_3x4(self):
         s = sample_state(SamplerSpec((3, 4), "haar", 123))
