@@ -4,10 +4,15 @@
 Two source trees whose outputs agree bit for bit print the same digest:
 run the script once per tree, with that tree's src/ on PYTHONPATH, and
 compare the last lines.  Per seed (--states of them) the corpus holds Haar
-and product states of several shapes, near-product states u (x) v (x) ...
-+ delta u' (x) v' (x) ... (delta below, near and above the default
-tolerance), biseparable states (an entangled pair times a qudit, in both
-orders), and the same states times 1e150 and 1e-150; then Bell, GHZ and W;
+and product states of several shapes, [23,23] and [24,24] among them
+(GATE_SHAPES: 1012 and 1104 terms per Gram sum, either side of the gate
+from which they are rounded by extraction rather than math.fsum), a Haar
+[64,64] state times 10**-k, k up to 40 per amplitude (its cuts slice to
+their cap and each Gram pass runs in two tiles), near-product states u (x)
+v (x) ... + delta u' (x) v' (x) ... (delta below, near and above the
+default tolerance), biseparable states (an entangled pair times a qudit,
+in both orders), and the same states times 1e150 and 1e-150; then Bell,
+GHZ and W;
 then two [2,2] near ties (NEAR_TIES), whose rows differ by a factor of
 about 1 + 2**-52, so that they pin the entry the factors are taken at.
 No state has more than 4096 amplitudes.  Hashed, in this order per state:
@@ -72,6 +77,7 @@ from qconc.cli import cli_main  # noqa: E402
 from qconc.states import peak_scaled  # noqa: E402
 
 TOLERANCES = (1e-9, 1e-13, 0.5, 5.7e-14)
+GATE_SHAPES = ((23, 23), (24, 24))
 
 # Amplitudes (hex re, im) of [2,2] states outer([a z, a (1 + 2**-52) z], [1, w]):
 # the peak-scaled moduli of the two rows' first entries round to a tie, and
@@ -130,7 +136,13 @@ def corpus(states: int) -> list[tuple[str, PureState]]:
             cases.append((f"haar{dims}/{seed}", sample_state(SamplerSpec(dims, "haar", seed))))
         for dims in [(8, 8), (32, 32), (2, 3, 4), (8, 8, 8)]:
             cases.append((f"product{dims}/{seed}", sample_state(SamplerSpec(dims, "product", seed))))
+        for dims in GATE_SHAPES:
+            for kind in ("haar", "product"):
+                cases.append((f"{kind}{dims}/{seed}", sample_state(SamplerSpec(dims, kind, seed))))
         rng = np.random.default_rng(1000 + seed)
+        wide = sample_state(SamplerSpec((64, 64), "haar", seed)).amps
+        cases.append((f"two-tiles/{seed}",
+                      make_state([64, 64], wide * 10.0 ** -rng.integers(0, 41, wide.size))))
         for dims in [(4, 6), (8, 64), (8, 8, 8)]:
             for factor in (0.05, 0.99, 1.0, 1.01, 30.0):
                 cases.append((f"near{dims}x{factor}/{seed}", near_product(rng, dims, factor)))

@@ -45,6 +45,7 @@ _SPLIT = float((1 << 27) + 1)
 _TILE = 1 << 17
 _BOUND = 2.0**-90
 _NO_ROW = -(1 << 11)  # exponent of a zero row, below every double's
+_EXTRACT = 1 << 10  # terms per matrix from which _rounded_sum rounds, not fsum
 
 # Candidates for a step's largest |minor|: re*re + im*im within this factor
 # of the largest.  It is within a few ulps of |minor|^2 (while normal) and
@@ -213,13 +214,16 @@ def minor_sum_sq(mat) -> float:
     By the Lagrange identity, the sum of the Schwarz gaps G_aa G_bb -
     |G_ab|^2, a < b, of G = M M^H with M read along its shorter axis:
     O(r^2 c) work.  G is exact slice products (_slices) summed in
-    double-double, Dekker's TwoProduct splits each gap's products, and
-    math.fsum rounds once.  G is off by at most K^2 2^-102 |x_a| |x_b|
-    (K <= 9 slices), a gap by 2^-92 G_aa G_bb, so the result is within
-    _BOUND ||M||_F^4 of the exact sum for M as given, plus its rounding.
-    No bit depends on BLAS, its threads or FMA.  Never negative: a sum
-    below -_BOUND ||M||_F^4 raises InternalConsistencyError.  This is the
-    one-matrix case of minor_sums_sq's pass (_gram_sums).
+    double-double, Dekker's TwoProduct splits each gap's products into
+    four terms, and the result is their correctly rounded sum: math.fsum
+    of Python floats below _EXTRACT terms, _rounded_sum's exact extraction
+    levels from there, the same double.  G is off by at most K^2 2^-102
+    |x_a| |x_b| (K <= 9 slices), a gap by 2^-92 G_aa G_bb, so the result
+    is within _BOUND ||M||_F^4 of the exact sum for M as given, plus its
+    rounding.  No bit depends on BLAS, its threads, FMA or the order of
+    numpy's sums.  Never negative: a sum below -_BOUND ||M||_F^4 raises
+    InternalConsistencyError.  This is the one-matrix case of
+    minor_sums_sq's pass (_gram_sums).
     """
     return _gram_sums(_wide(mat)[None])[0]
 
@@ -252,11 +256,14 @@ def _wide(mat) -> np.ndarray:
 def _gram_sums(stack: np.ndarray) -> list[float]:
     """minor_sum_sq of each matrix of the (S, r, c) stack, r <= c, in one pass.
 
-    Each matrix keeps its own row exponents, fsum, negative-sum check and
-    inf clamp, and the bits it has alone: the stack slices to its largest
-    K, and a matrix with a smaller K was not capped, so its extra slices
-    are exact zeros, as are all slices of its zero rows; exact zeros and
-    term order do not move a correctly rounded fsum.
+    Each matrix keeps its own row exponents, rounded sum, negative-sum
+    check and inf clamp, and the bits it has alone: the stack slices to
+    its largest K, and a matrix with a smaller K was not capped, so its
+    extra slices are exact zeros, as are all slices of its zero rows;
+    exact zeros and term order do not move a correctly rounded sum.  The
+    2 r (r - 1) terms of a matrix are rounded by math.fsum below _EXTRACT
+    of them, else by _rounded_sum, on the tiles' arrays as they are
+    (never joined): the correctly rounded sum either way.
     """
     x = stack.view(np.float64)
     peak = np.maximum.reduce(np.abs(x), axis=2, initial=0.0)
@@ -276,11 +283,15 @@ def _gram_sums(stack: np.ndarray) -> list[float]:
     tiles = (
         _tile_terms(z, weights, max(a1 - step, 0), a1, rho, d, width) for a1 in range(r, 0, -step)
     )
-    if len(two) > 1:
-        tiles = list(tiles)  # every matrix's fsum reads every tile
+    extract = 2 * r * (r - 1) >= _EXTRACT
+    if len(two) > 1 or extract:
+        tiles = list(tiles)  # every matrix's sum reads every tile
     sums = []
     for s in range(len(top)):
-        total = math.fsum(chain.from_iterable(tile[s] for tile in tiles))
+        if extract:
+            total = _rounded_sum([tile[s] for tile in tiles])
+        else:
+            total = math.fsum(chain.from_iterable(tile[s].tolist() for tile in tiles))
         if total <= 0.0:  # also with fewer than two nonzero rows: all terms are exact zeros
             with np.errstate(over="ignore"):  # inf only clamps
                 trace = float(np.ldexp(d[0, s], rho[s]).sum())
@@ -322,9 +333,10 @@ def _slices(x: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, int]:
 def _tile_terms(
     z: np.ndarray, weights: np.ndarray, a0: int, a1: int, rho: np.ndarray, d: np.ndarray,
     width: int,
-) -> list:
-    """The gaps' fsum terms of the tile of rows a0..a1-1 by columns a0..,
-    one list per matrix of the (S, r, k, c) stack z, as G_ba = conj(G_ab).
+) -> np.ndarray:
+    """The gaps' terms of the tile of rows a0..a1-1 by columns a0.., an
+    (S, n) array, one row per matrix of the (S, r, k, c) stack z, as
+    G_ba = conj(G_ab).
     Matmuls of the tile's conjugated slices, its only copy of z, form the
     slice products of conj(G_ab); one gather (_tile_pairs) copies those of
     its pairs a <= b, diagonal first, into level order, and a matmul sums
@@ -387,7 +399,54 @@ def _tile_terms(
     np.add.reduce(err, axis=0, out=out[3])
     ex = rho[:, a0:]
     terms = np.ldexp(out, ex[:, ia] + ex[:, ib])
-    return terms.swapaxes(0, 1).reshape(S, -1).tolist()
+    return terms.swapaxes(0, 1).reshape(S, -1)
+
+
+def _rounded_sum(parts: list) -> float:
+    """math.fsum of the terms of the float64 arrays parts, bit for bit,
+    without a Python float per term; it overwrites the arrays.
+
+    A level is Rump, Ogita and Oishi's ExtractVector: for n terms, 2**M >=
+    n + 2 and sigma = 2**M 2**ceil(log2 max|t|), q = (t + sigma) - sigma is
+    t on the grid of 2**-53 sigma, within 2**-53 sigma of it, so every
+    partial sum of the q is exact, in any order, and so is t - q.  The
+    residues t - q, summed in any order, are off by at most 2 n^2 2**-53
+    times 2**-53 sigma.  Ziv's test: where fsum of the exact level sums
+    and that sum, less and plus the bound, gives one double, that is the
+    correctly rounded sum of the terms.  Else the next level runs on the
+    residues, until none is left.  Terms that are all zero, not finite, or
+    so large that sigma could overflow go to fsum itself.
+    """
+    n = sum(p.size for p in parts)
+    m = (n + 1).bit_length()
+    tops = [_peak(p) for p in parts]
+    top = max(tops)
+    if not 0.0 < top < 2.0 ** (1023 - m) or math.isnan(sum(tops)):
+        return math.fsum(chain.from_iterable(p.tolist() for p in parts))
+    q = np.empty(max(p.size for p in parts))
+    levels = []
+    while True:
+        sigma = math.ldexp(1.0, m + math.frexp(top)[1])
+        level = 0.0
+        for p in parts:
+            v = np.add(p, sigma, out=q[: p.size])
+            v -= sigma
+            p -= v
+            level += float(v.sum())
+        levels.append(level)
+        rest = sum(float(p.sum()) for p in parts)
+        bound = n * n * 2.0**-105 * sigma
+        low = math.fsum(levels + [rest, -bound])
+        if low == math.fsum(levels + [rest, bound]):
+            return low
+        top = max(_peak(p) for p in parts)
+        if top == 0.0:
+            return math.fsum(levels)
+
+
+def _peak(p: np.ndarray) -> float:
+    """max |p|, 0.0 if p is empty, NaN if any entry is."""
+    return max(float(p.max(initial=0.0)), -float(p.min(initial=0.0)))
 
 
 @lru_cache(maxsize=16)
@@ -473,16 +532,16 @@ def _bounded_pairs(
     """(a, b, L, quads) from one pass over x read tall (_pivot_minors, or
     pivot, the caller's pass over the tall x, if given): the row pairs
     (a, b), lexicographic, that can hold the largest |minor|, the
-    lower bound L they were tested against, and, where the Schwarz bound
-    dropped the others, the minors for the quad evaluator: every minor of
-    the kept pairs, as (P, 1) rows a, b and the column pairs of
-    _pair_block(nc, ...), where they number at most _CHUNK, else those
-    that pass the column bound (_column_quads; None past _CHUNK of them,
-    or where the Schur bound dropped the others); None if no pair is
-    dropped.  Evaluating a superset of the column bound's minors within
-    the same pairs keeps the max's bits.  Every bound below
-    holds for any |D| within 9u P^2 of the exact minors, as a pass over x.T
-    read transposed is, and L is a modulus the kernel computes.
+    lower bound L they were tested against, and the minors for the quad
+    evaluator: every minor of the kept pairs, as (P, 1) rows a, b and the
+    column pairs of _pair_block(nc, ...), where they number at most
+    _CHUNK; past that, those that pass the column bound where the Schwarz
+    bound dropped the others (_column_quads; None past _CHUNK of them),
+    and None where the Schur bound did; None if no pair is dropped.
+    Evaluating a superset of the column bound's minors within the same
+    pairs keeps the max's bits.  Every bound below holds for any |D|
+    within 9u P^2 of the exact minors, as a pass over x.T read transposed
+    is, and L is a modulus the kernel computes.
 
     Both bounds are tested against L, the kernel's |minor| at the largest
     |D| through the pivot (_pivot_low), raised where the Schwarz bound prunes
@@ -566,7 +625,11 @@ def _bounded_pairs(
     keep &= upper
     if np.count_nonzero(keep) == total:
         return None
-    return (*np.divmod(np.flatnonzero(keep), nr), low, None)
+    a, b = np.divmod(np.flatnonzero(keep), nr)
+    per = nc * (nc - 1) // 2
+    if a.size * per > _CHUNK:
+        return a, b, low, None
+    return a, b, low, (a[:, None], b[:, None], *_pair_block(nc, 0, per))
 
 
 def _column_quads(

@@ -1477,21 +1477,31 @@ class TestPruningWork:
             assert value.hex() == _all_pairs_max(mat).hex()
             assert evaluated < _minor_count(mat) / 5, seed
 
-    @pytest.mark.parametrize("case, quads", [("haar-32x32", 1), ("haar-8x8x8", 1), ("near_ent", 0)])
+    @pytest.mark.parametrize("case, quads", [("haar-32x32", 1), ("haar-8x8x8", 1),
+                                             ("near_ent", 1), ("schur-past-chunk", 0)])
     def test_one_evaluator_call(self, case, quads):
         # The pre-pass takes L from a few recomputed minors, not from a
         # kernel call of its own, and one evaluator runs: the quad evaluator
-        # on peak-scaled Haar cuts, the offset kernel on a near-entangled
-        # one, which the Schur bound prunes.
+        # on peak-scaled Haar cuts and on a near-entangled one, whose kept
+        # pairs the Schur bound leaves with 1512 minors; the offset kernel
+        # on a near-separable cut whose kept pairs hold 11256, past _CHUNK,
+        # with no column bound.
         if case == "near_ent":
             mat = _schur_case("near_ent", 4)
+        elif case == "schur-past-chunk":
+            mat = _schur_case("near_sep", 0)
         else:
             dims = [32, 32] if case == "haar-32x32" else [8, 8, 8]
             state = make_state(dims, _gaussian(np.random.default_rng(4), math.prod(dims)))
             mat = matricize(make_state(dims, peak_scaled(state)[0]), 1)
-        value, calls = _evaluator_calls(mat)
+        with mock.patch.object(schwarz, "_column_quads", wraps=schwarz._column_quads) as columns:
+            value, calls = _evaluator_calls(mat)
         assert calls == (quads, 1 - quads)
-        assert (schwarz._bounded_pairs(mat)[3] is not None) == bool(quads)
+        bounded = schwarz._bounded_pairs(mat)
+        assert (bounded[3] is not None) == bool(quads)
+        if case == "schur-past-chunk":
+            assert columns.call_count == 0
+            assert bounded[0].size * math.comb(min(mat.shape), 2) > schwarz._CHUNK
         assert value.hex() == _all_pairs_max(mat).hex()
 
     def test_product_cut_evaluates_every_minor(self):
