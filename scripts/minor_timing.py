@@ -18,11 +18,14 @@ scan).  max_abs_minor runs one evaluator after its one pre-pass,
 schwarz._bounded_pairs.  That reads |x|, the pivot and the minors through
 it once (schwarz._pivot_minors), keeps the row pairs whose Schwarz bound
 (or, on the near-product state, the pivot's Schur bound) reaches one exact
-lower bound, and hands over what the evaluator takes.  Where the Schwarz
-bound pruned, the quad evaluator takes every minor of the kept pairs if
-they hold at most 8192 (route "kept"), else those whose columns pass the
-column bound if at most 8192 remain ("quads"); otherwise the offset
-kernel scans the kept pairs, or all of them ("kernel").
+lower bound, and hands over what the evaluator takes.  First a join on
+the sorted entry moduli lists the minors with a diagonal that reaches
+half that bound; where it lists at most 8192, the quad evaluator takes
+them (route "join").  Past that, where the Schwarz bound pruned, the quad
+evaluator takes every minor of the kept pairs if they hold at most 8192
+("kept"), else those whose columns pass the column bound if at most 8192
+remain ("quads"); otherwise the offset kernel scans the kept pairs, or
+all of them ("kernel").
 It prints the minor count, the best wall time of each, the minor page
 faults per call next to it (flt: the ru_minflt difference over the timed
 repeats, after two untimed calls, since glibc may serve a size's first
@@ -77,19 +80,29 @@ def best_time(fn, repeats: int) -> tuple[float, float, object]:
 def evaluated_share(mat) -> tuple[float, str]:
     """Share of the minors max_abs_minor(mat) evaluates: the sizes of the
     steps its evaluator reduces (schwarz._max_modulus), over all minors;
-    and the route: "kept", "quads" or "kernel" (see above)."""
-    sizes = []
-    reduce = schwarz._max_modulus
+    and the route: "join", "kept", "quads" or "kernel" (see above)."""
+    sizes, joined = [], []
+    reduce, join = schwarz._max_modulus, schwarz._joined_quads
 
     def counting(re, im, sq):
         sizes.append(re.size)
         return reduce(re, im, sq)
 
+    def joining(*args):
+        joined.append(join(*args))
+        return joined[-1]
+
     with (mock.patch.object(schwarz, "_max_modulus", counting),
+          mock.patch.object(schwarz, "_joined_quads", joining),
           mock.patch.object(schwarz, "_column_quads", wraps=schwarz._column_quads) as columns,
           mock.patch.object(schwarz, "_quad_max", wraps=schwarz._quad_max) as quads):
         max_abs_minor(mat)
-    route = "kernel" if not quads.called else "quads" if columns.called else "kept"
+    if not quads.called:
+        route = "kernel"
+    elif any(q is not None for q in joined):
+        route = "join"
+    else:
+        route = "quads" if columns.called else "kept"
     return sum(sizes) / (math.comb(mat.shape[0], 2) * math.comb(mat.shape[1], 2)), route
 
 

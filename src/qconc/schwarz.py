@@ -18,7 +18,10 @@ product, so every |minor| equals ``abs(M[a,c] * M[b,d] - M[a,d] * M[b,c])``
 bit for bit and those of M.T equal those of M; the largest modulus does
 not depend on the order or on the evaluator.  What the max prunes, and
 the peel's verdicts, read one pass over the matrix (_pivot_minors), which
-the peel runs once per cut it tests and hands to the max.  The sum of
+the peel runs once per cut it tests and hands to the max.  The max lists
+the minors that can reach that pass's lower bound by a join on the sorted
+entry moduli; where the join would list more than _CHUNK, it prunes row
+pairs by the Schwarz bound or by the pivot's Schur bound.  The sum of
 squared minors takes the Gram route (minor_sum_sq), whose bits do not
 depend on BLAS or its threads, and a matrix's sum has the same bits alone
 or stacked with others in one pass (minor_sums_sq).
@@ -490,12 +493,15 @@ def max_abs_minor(mat, *, _pivot=None) -> float:
 
     |minor| is libm hypot(re, im), the function behind abs(complex).  One
     evaluator runs, with the full scan's bits: the quad evaluator on the
-    minors _bounded_pairs lists, else the offset kernel on the row pairs it
-    keeps, or on all of them where it prunes nothing.  Entries beyond about
-    2**511 can overflow a product (inf, or NaN from inf - inf): a result
-    that is not finite is computed again on mat 2**-e, e the exponent of
-    its largest |entry|, and scaled back by 2**2e.  All of it runs under
-    one np.errstate that silences overflow and invalid warnings.
+    minors _bounded_pairs lists (those its join on the entry moduli finds,
+    as on Haar cuts up to about [64, 64], or past _CHUNK of those, the ones
+    its pair and column bounds keep), else the offset kernel on the row
+    pairs it keeps, or on all of them where it prunes nothing (product and
+    small cuts).  Entries beyond about 2**511 can overflow a product (inf,
+    or NaN from inf - inf): a result that is not finite is computed again
+    on mat 2**-e, e the exponent of its largest |entry|, and scaled back by
+    2**2e.  All of it runs under one np.errstate that silences overflow
+    and invalid warnings.
 
     _pivot, if given, is _pivot_minors(mat) of a caller that already ran
     it, and the pre-pass reads it instead of running its own.  A wide mat
@@ -533,11 +539,14 @@ def _bounded_pairs(
     pivot, the caller's pass over the tall x, if given): the row pairs
     (a, b), lexicographic, that can hold the largest |minor|, the
     lower bound L they were tested against, and the minors for the quad
-    evaluator: every minor of the kept pairs, as (P, 1) rows a, b and the
-    column pairs of _pair_block(nc, ...), where they number at most
-    _CHUNK; past that, those that pass the column bound where the Schwarz
-    bound dropped the others (_column_quads; None past _CHUNK of them),
-    and None where the Schur bound did; None if no pair is dropped.
+    evaluator.  First, for 2**-400 <= P <= 2**400, the join on the entry
+    moduli against L (_joined_quads): where it lists at most _CHUNK
+    minors, those are the quads, and a, b their rows, one per minor.  Else
+    every minor of the kept pairs, as (P, 1) rows a, b and the column
+    pairs of _pair_block(nc, ...), where they number at most _CHUNK; past
+    that, those that pass the column bound where the Schwarz bound dropped
+    the others (_column_quads; None past _CHUNK of them), and None where
+    the Schur bound did; None if no pair is dropped.
     Evaluating a superset of the column bound's minors within the same
     pairs keeps the max's bits.  Every bound below holds for any |D|
     within 9u P^2 of the exact minors, as a pass over x.T read transposed
@@ -583,8 +592,12 @@ def _bounded_pairs(
     low = _pivot_low(x, r, c, minors)
     if not 2.0**-1000 <= low < math.inf:
         return None
-    upper = (_triangle if total <= _CHUNK else _triangle.__wrapped__)(nr)
     padded = mod + _TINY
+    peak = float(mod[r, c])
+    quads = _joined_quads(padded, low) if 2.0**-400 <= peak <= 2.0**400 else None
+    if quads is not None:
+        return quads[0], quads[1], low, quads
+    upper = (_triangle if total <= _CHUNK else _triangle.__wrapped__)(nr)
     two = _top_two(padded)
     h = np.hypot(*two.T)
     bound = h[:, None] * h
@@ -608,7 +621,7 @@ def _bounded_pairs(
         if a.size * per > _CHUNK:
             return a, b, low, _column_quads(padded, two[:, 1], a, b, low)
         return a, b, low, (a[:, None], b[:, None], *_pair_block(nc, 0, per))
-    peak, top = float(mod[r, c]), float(minors.max())
+    top = float(minors.max())
     pad = _PAD * peak * peak
     if not (2.0**-400 <= peak <= 2.0**400 and top > pad):
         return None
@@ -632,17 +645,58 @@ def _bounded_pairs(
     return a, b, low, (a[:, None], b[:, None], *_pair_block(nc, 0, per))
 
 
+def _joined_quads(
+    mod: np.ndarray, low: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+    """The minors (a, b, j, k) of the tall x with mod_aj mod_bk >= thr =
+    L (1 - 2**-40) / 2, None if more than _CHUNK; mod is |x| + _TINY, padded
+    as the Schwarz bound pads it for hypot on subnormals.
+
+    No minor exceeds |x_aj| |x_bk| + |x_ak| |x_bj| (the triangle
+    inequality), and the kernel's |minor| strays from the exact one by a
+    few ulps of that sum, within the 2**-40 slack: every minor whose
+    modulus can reach L has a diagonal whose product reaches thr.  Sorted
+    ascending, entry p pairs with the later entries q that have mod_q >=
+    thr / mod_p (one searchsorted).  A minor whose two diagonals both
+    reach thr is listed twice, and a pair in one row or one column lists a
+    minor that evaluates to exactly 0 (IEEE products and sums commute), so
+    the largest modulus keeps its bits.  The entries of at least sqrt(thr)
+    pair among themselves alone, so past _CHUNK of those pairs nothing is
+    sorted; only entries of at least thr / max mod can have a partner.
+    The caller keeps P within 2**+-400, so no product of two moduli
+    overflows.
+    """
+    thr = low * _BAND / 2
+    v = mod.reshape(-1)
+    big = np.count_nonzero(v >= math.sqrt(thr))
+    if big * (big - 1) // 2 > _CHUNK:
+        return None
+    live = np.flatnonzero(v >= thr / float(v.max()))
+    order = live.take(np.argsort(v.take(live)))
+    s = v.take(order)
+    start = np.maximum(np.searchsorted(s, thr / s), np.arange(1, s.size + 1))
+    count = s.size - start
+    total = int(count.sum())
+    if total > _CHUNK:
+        return None
+    first = np.repeat(np.arange(s.size), count)
+    second = np.arange(total) + np.repeat(start - (np.cumsum(count) - count), count)
+    rows, cols = np.divmod(order, mod.shape[1])
+    return rows.take(first), rows.take(second), cols.take(first), cols.take(second)
+
+
 def _column_quads(
     mod: np.ndarray, peak: np.ndarray, a: np.ndarray, b: np.ndarray, low: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
     """The minors (a, b, j, k), j < k, of the row pairs a, b of the tall x
     whose columns both pass the column bound against L = low, None if more
     than _CHUNK; mod is |x| + _TINY and peak its row maxima, as the Schwarz
-    bound reads them.  _bounded_pairs runs it only where the pairs hold
-    more than _CHUNK minors: below that, its 40 or so numpy calls cost
-    about what evaluating every minor of the pairs does (on Haar [8, 8, 8]
-    cuts, medians: 40 us to keep 12 of 1204 minors, which _quad_max
-    evaluates all together in 54 us, or the 12 in 19 us).
+    bound reads them.  _bounded_pairs runs it only where the join lists
+    nothing (past _CHUNK minors, or P outside its window) and the pairs
+    hold more than _CHUNK minors: below that, its 40 or so numpy calls
+    cost about what evaluating every minor of the pairs does (on Haar
+    [8, 8, 8] cuts, medians: 40 us to keep 12 of 1204 minors, which
+    _quad_max evaluates all together in 54 us, or the 12 in 19 us).
 
     No minor of rows a, b at columns j, k exceeds |x_aj| |x_bk| + |x_ak|
     |x_bj| <= g_j = |x_aj| m_b + m_a |x_bj| (m_a the largest |x[a, :]|), nor

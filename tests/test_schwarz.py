@@ -17,7 +17,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qconc import (
@@ -1009,8 +1009,9 @@ _FAULT_CASES = {
     "minor_sum_sq-64": "schwarz.minor_sum_sq, (gaussian(64),)",
     "concurrence-haar-64x64": "qconc.concurrence, (haar(64, 64),)",
     "concurrence-haar-16x16x16": "qconc.concurrence, (haar(16, 16, 16),)",  # conj rows
-    "certificate-haar-64x64": "qconc.is_separable_cut, (haar(64, 64), 1)",  # _column_quads
-    "certificate-haar-16x16x16": "qconc.is_separable_cut, (haar(16, 16, 16), 1)",  # pair masks
+    "certificate-haar-64x64": "qconc.is_separable_cut, (haar(64, 64), 1)",  # the join
+    "certificate-haar-16x16x16": "qconc.is_separable_cut, (haar(16, 16, 16), 1)",  # the join
+    "certificate-haar-128x128": "qconc.is_separable_cut, (haar(128, 128), 1)",  # _column_quads
     "certificate-near-64x64": "qconc.is_separable_cut, (near_product(64, 64), 1)",  # kernel
 }
 
@@ -1455,19 +1456,18 @@ class TestPruningWork:
                 assert value.hex() == _all_pairs_max(mat).hex()
                 assert evaluated < _minor_count(mat) / 2, (seed, cut)
 
-    @pytest.mark.parametrize("dims, measured", [((8, 8, 8), 0.0243), ((32, 32), 0.2056)])
+    @pytest.mark.parametrize("dims, measured", [((8, 8, 8), 0.00945), ((32, 32), 0.00263)])
     def test_kept_share_of_row_pairs(self, dims, measured):
         # The differential tests pass however little is pruned; this pins
-        # how much: at most 1.5 times the share kept when it was written.
+        # how much: the candidate minors the pre-pass hands on, over all
+        # minors, at most 1.5 times the share when it was written.
         kept = total = 0
         for seed in range(4):
             state = sample_state(SamplerSpec(dims, "haar", seed))
             for cut in range(1, len(dims) + 1):
                 mat = matricize(state, cut)
-                pairs = math.comb(max(mat.shape), 2)
-                bounded = schwarz._bounded_pairs(mat)
-                kept += pairs if bounded is None else bounded[0].size
-                total += pairs
+                kept += _candidate_minors(mat)
+                total += _minor_count(mat)
         assert kept / total <= 1.5 * measured
 
     def test_near_entangled_cuts_evaluate_under_a_fifth(self):
@@ -1519,6 +1519,33 @@ def _evaluator_calls(m):
     return value, (quad.call_count, kernel.call_count)
 
 
+def _candidate_minors(m):
+    """How many minors max_abs_minor(m) hands its evaluator: the listed
+    quads, every minor of the kept pairs, or all of them."""
+    bounded = schwarz._bounded_pairs(m)
+    if bounded is None:
+        return _minor_count(m)
+    if bounded[3] is None:
+        return bounded[0].size * math.comb(min(np.shape(m)), 2)
+    return np.broadcast(*bounded[3]).size
+
+
+def _routes(m, **kwargs):
+    """(max_abs_minor(m, **kwargs), what the join returned on each call,
+    _column_quads calls)."""
+    joined = []
+    join = schwarz._joined_quads
+
+    def recording(*args):
+        joined.append(join(*args))
+        return joined[-1]
+
+    with mock.patch.object(schwarz, "_joined_quads", recording):
+        with mock.patch.object(schwarz, "_column_quads", wraps=schwarz._column_quads) as columns:
+            value = max_abs_minor(m, **kwargs)
+    return value, joined, columns.call_count
+
+
 def _peak_scaled_cuts(dims, seed):
     """Every cut of a Haar state, peak-scaled as is_separable_cut reads it."""
     state = sample_state(SamplerSpec(dims, "haar", seed))
@@ -1549,19 +1576,19 @@ class TestQuadEvaluator:
 
     @pytest.mark.parametrize("dims", [(32, 32), (48, 48), (8, 8, 8)])
     def test_haar_cuts_take_the_quad_path(self, dims):
-        # Haar [8, 8, 8] cuts keep at most _CHUNK minors in their kept pairs
-        # and evaluate all of them; [32, 32] and [48, 48] cuts keep more and
-        # run the column bound first.
-        column_bound = int(len(dims) == 2)
+        # The join lists at most _CHUNK candidate minors on every Haar
+        # [8, 8, 8], [32, 32] and [48, 48] cut, and the quad evaluator
+        # takes them: neither the Schwarz bound nor the column bound runs.
         for seed in range(3):
             for mat in _peak_scaled_cuts(dims, seed):
                 want = _all_pairs_max(mat).hex()
                 for x in (mat, mat.T):
-                    with mock.patch.object(schwarz, "_column_quads",
-                                           wraps=schwarz._column_quads) as columns:
-                        value, calls = _evaluator_calls(x)
-                    assert calls == (1, 0), (seed, x.shape)
-                    assert columns.call_count == column_bound, (seed, x.shape)
+                    with (mock.patch.object(schwarz, "_top_two", wraps=schwarz._top_two) as bound,
+                          mock.patch.object(schwarz, "_quad_max", wraps=schwarz._quad_max) as quad):
+                        value, joined, columns = _routes(x)
+                    assert quad.call_count == 1, (seed, x.shape)
+                    assert len(joined) == 1 and joined[0] is not None, (seed, x.shape)
+                    assert columns == bound.call_count == 0, (seed, x.shape)
                     assert value.hex() == want, (seed, x.shape)
 
     @pytest.mark.parametrize("big, column_bound", [(128, 0), (129, 1)])
@@ -1661,3 +1688,141 @@ class TestQuadEvaluator:
         assert calls == (1, 0)
         assert value.hex() == _all_pairs_max(m).hex()
         assert math.isfinite(value)
+
+
+def _join_of(x):
+    """(L, the join's list) of the tall x, as _bounded_pairs reads them."""
+    r, c, mod, minors = schwarz._pivot_minors(x)
+    low = schwarz._pivot_low(x, r, c, minors)
+    return low, schwarz._joined_quads(mod + schwarz._TINY, low)
+
+
+def _join_matrix(seed, nr, nc, decades, zeros):
+    """A Gaussian nr x nc matrix, each entry times 10**-u, u uniform in
+    [0, decades), and a share zeros of its entries 0."""
+    rng = np.random.default_rng(seed)
+    m = _gaussian(rng, nr, nc) * 10.0 ** -rng.uniform(0, decades, (nr, nc))
+    m[rng.random((nr, nc)) < zeros] = 0
+    return m
+
+
+class TestJoin:
+    """The join on the sorted entry moduli lists every minor that can reach
+    L, by brute force over every minor, and its list has the bits of the
+    all-pairs scan."""
+
+    @staticmethod
+    def _assert_lists_every_reaching_minor(m):
+        x = np.asarray(m, dtype=complex)
+        x = x.T if x.shape[0] < x.shape[1] else x
+        low, quads = _join_of(x)
+        assert quads is not None
+        listed = {(min(a, b), max(a, b), min(j, k), max(j, k))
+                  for a, b, j, k in zip(*(q.tolist() for q in quads))}
+        nr, nc = x.shape
+        for a, b in combinations(range(nr), 2):
+            for j, k in combinations(range(nc), 2):
+                if schwarz._modulus(x, a, j, b, k) >= low * schwarz._BAND:
+                    assert (a, b, j, k) in listed
+        with np.errstate(over="ignore"):  # as in max_abs_minor: a square may overflow
+            assert schwarz._quad_max(x, *quads).hex() == _all_pairs_max(x).hex()
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.integers(2, 12),
+           st.sampled_from([0, 1, 4, 30]), st.sampled_from([0.0, 0.3]))
+    def test_lists_every_minor_that_can_reach_l(self, seed, nr, nc, decades, zeros):
+        m = _join_matrix(seed, nr, nc, decades, zeros)
+        x = m.T if nr < nc else m
+        low, quads = _join_of(x)
+        assume(2.0**-1000 <= low < math.inf and quads is not None)
+        self._assert_lists_every_reaching_minor(m)
+
+    @pytest.mark.parametrize("case", ["integer-ties", "block-ties", "dominant", "subnormal-rows"])
+    def test_named_cases(self, case):
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            if case == "integer-ties":  # many equal moduli, and equal products
+                m = rng.integers(-2, 3, (12, 12)) + 1j * rng.integers(-2, 3, (12, 12))
+            elif case == "block-ties":
+                m = np.kron(np.diag(rng.integers(1, 3, 6)), np.ones((2, 2))) * np.exp(1j)
+            elif case == "dominant":  # one entry 1e6 times the rest
+                m = _gaussian(rng, 12, 12)
+                m[rng.integers(12), rng.integers(12)] *= 1e6
+            else:  # subnormal rows against one row near 1e100, inside the window
+                m = _gaussian(rng, 12, 10) * 10.0 ** -rng.integers(310, 321, (12, 1))
+                m[rng.integers(12)] = _gaussian(rng, 10) * 1e100
+            self._assert_lists_every_reaching_minor(m)
+
+    def test_subnormal_moduli_are_padded(self):
+        # |(1+1j) u| is 1.41 u but hypot rounds it to u, so each diagonal of
+        # the minor of rows 0, 1 reads u P, under half of its 2.83 u P, which
+        # is L; only the added _TINY lists it.  The zero rows and columns
+        # take the matrix past _CHUNK minors and into the pre-pass.
+        u, p = 5e-324, 2.0**100
+        m = np.zeros((20, 16), dtype=complex)
+        m[0, :2] = (1 + 1j) * u, -(1 + 1j) * u
+        m[1, :2] = p
+        assert np.abs(m[0, 0]) == u
+        self._assert_lists_every_reaching_minor(m)
+        value, joined, _ = _routes(m)
+        assert joined[0] is not None
+        assert value == abs(2 * (1 + 1j) * u * p) == _all_pairs_max(m)
+
+    @pytest.mark.parametrize("e", [400, -400])
+    def test_peak_at_the_edges_of_the_window(self, e):
+        # P = 2**e exactly runs the join; one ulp further out does not, and
+        # the pair bound decides; either way the all-pairs bits.
+        for seed in range(4):
+            m = _gaussian(np.random.default_rng(seed), 16, 16)
+            m *= 0.9 / np.abs(m).max()
+            m[seed, 2 * seed] = 1.0
+            inside = m * 2.0**e
+            self._assert_lists_every_reaching_minor(inside)
+            value, joined, _ = _routes(inside)
+            assert len(joined) == 1 and joined[0] is not None
+            assert value.hex() == _all_pairs_max(inside).hex()
+            outside = inside.copy()
+            outside[seed, 2 * seed] = math.nextafter(2.0**e, math.inf if e > 0 else 0.0)
+            value, joined, _ = _routes(outside)
+            assert joined == []
+            assert value.hex() == _all_pairs_max(outside).hex()
+
+    def test_wide_input_with_the_callers_pivot(self):
+        # The caller's pass over the wide matrix, read transposed: its pivot
+        # may be another of a tie, and the list another, with the same bits.
+        for seed in range(4):
+            m = _gaussian(np.random.default_rng(seed), 8, 40)
+            m[:, 3] = m[:, 5] = m[0, 0] = 4.0  # ties for the pivot
+            pivot = schwarz._pivot_minors(m)
+            want = _all_pairs_max(m).hex()
+            with mock.patch.object(schwarz, "_pivot_minors", side_effect=AssertionError):
+                value, joined, columns = _routes(m, _pivot=pivot)
+            assert len(joined) == 1 and joined[0] is not None and columns == 0
+            assert value.hex() == want == max_abs_minor(m.T).hex(), seed
+
+    @pytest.mark.parametrize("dims", [(32, 32), (48, 48), (64, 64), (8, 8, 8), (12, 12, 12),
+                                      (4, 4, 4, 4)])
+    def test_haar_cuts_equal_all_pairs(self, dims):
+        for seed in range(2):
+            for mat in _peak_scaled_cuts(dims, seed):
+                want = _all_pairs_max(mat).hex()
+                for x in (mat, mat.T):
+                    value, joined, columns = _routes(x)
+                    assert joined[0] is not None and columns == 0, (seed, x.shape)
+                    assert value.hex() == want, (seed, x.shape)
+
+    @pytest.mark.parametrize("n", [96, 128])
+    def test_past_the_chunk_takes_the_pair_bound(self, n):
+        # A Haar [96, 96] cut has more than _CHUNK pairs among its entries
+        # of at least sqrt(thr) alone; a [128, 128] one lists more once
+        # sorted.  Both bail, and the pair bound, the wider raise and the
+        # column bound run as before.
+        mat = _peak_scaled_cuts((n, n), 0)[0]
+        x = np.asarray(mat)
+        low, _ = _join_of(x)
+        thr = low * schwarz._BAND / 2
+        big = np.count_nonzero(np.abs(x) + schwarz._TINY >= math.sqrt(thr))
+        assert (big * (big - 1) // 2 > schwarz._CHUNK) == (n == 96)
+        value, joined, columns = _routes(mat)
+        assert joined == [None] and columns == 1
+        assert value.hex() == _all_pairs_max(mat).hex()
